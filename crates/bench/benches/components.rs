@@ -180,9 +180,10 @@ fn bench_retrieval(c: &mut Criterion) {
         b.iter(|| retriever.retrieve(black_box(&iv_db), black_box(&iv_query)))
     });
 
-    // Before/after datapoint for the shared-index cache: the old
-    // TfIdfRetriever rebuilt the index on every retrieve; the cached path
-    // looks it up by database fingerprint.
+    // Before/after datapoint for the database-owned index: the old
+    // TfIdfRetriever rebuilt the index on every retrieve; now the database
+    // builds it on its first retrieval and every later one scores against
+    // it in one pass over the query's terms.
     let tfidf = TfIdfRetriever::new();
     let tfidf_query = RetrievalQuery::from_log(
         "Error (10170): Verilog HDL syntax error at main.sv(3) near text \"endmodule\"",
@@ -193,7 +194,8 @@ fn bench_retrieval(c: &mut Criterion) {
             black_box(index.top_k(&tfidf_query.log, tfidf.top_k))
         })
     });
-    // Warm the cache outside the timed loop, as a retrieval-heavy run does.
+    // Build the database's own index outside the timed loop, as the first
+    // retrieval of a run does.
     let _ = tfidf.retrieve(&db, &tfidf_query);
     c.bench_function("rag/tfidf_cached_index", |b| {
         b.iter(|| tfidf.retrieve(black_box(&db), black_box(&tfidf_query)))

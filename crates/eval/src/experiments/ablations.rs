@@ -180,13 +180,11 @@ pub fn database_size_sweep(config: &FixRateConfig) -> Vec<AblationPoint> {
         .enumerate()
         .map(|(slot, &fraction)| {
             let full = GuidanceDatabase::quartus();
-            let keep = ((full.entries.len() as f64) * fraction).round() as usize;
+            let keep = ((full.entries().len() as f64) * fraction).round() as usize;
             // One truncated database per variant, shared across all of the
             // variant's episodes (and worker threads) behind an Arc.
-            let database = Arc::new(GuidanceDatabase {
-                edition: full.edition,
-                entries: full.entries.into_iter().take(keep).collect(),
-            });
+            let database =
+                Arc::new(GuidanceDatabase::new(full.edition, full.entries()[..keep].to_vec()));
             point(
                 format!("{:.0}% of database", fraction * 100.0),
                 &entries,

@@ -765,12 +765,17 @@ mod tests {
     }
 
     #[test]
-    fn pool_telemetry_merges_identically_at_any_jobs() {
+    fn telemetry_merges_identically_at_any_jobs_under_either_engine() {
         // Worker-local episode telemetry merges at the pool barrier in
         // index order, so the registry aggregate is a pure function of the
-        // episode set — independent of worker count and scheduling. Only
-        // `test.`-prefixed keys are compared: other tests in this binary
-        // may record telemetry concurrently while the flag is on.
+        // episode set — independent of worker count, scheduling, engine and
+        // plan. Both engines are checked in this one test because each
+        // check flips the process-global telemetry flag and resets the
+        // registry: as two tests running in parallel they would clear each
+        // other's runs.
+        // Only `test.`-prefixed keys are compared: other tests in this
+        // binary may record telemetry concurrently while the flag is on.
+        use crate::schedule::{CostModel, EpisodeFeatures, Plan};
         rtlfixer_obs::set_telemetry(true);
         let ours = |snap: &rtlfixer_obs::Snapshot| {
             let counters: Vec<(String, u64)> = snap
@@ -787,6 +792,8 @@ mod tests {
                 .collect();
             (counters, hists)
         };
+
+        // The legacy pool at any job count.
         let run = |jobs: usize| {
             rtlfixer_obs::reset();
             let _ = run_indexed(jobs, 40, |i| {
@@ -801,6 +808,30 @@ mod tests {
         assert!(serial.0.iter().any(|(k, v)| k == "test.episodes" && *v == 40), "{serial:?}");
         for jobs in [2, 4] {
             assert_eq!(run(jobs), serial, "jobs = {jobs}");
+        }
+
+        // The planned executor under an LPT plan against the legacy pool.
+        let work = |i: usize| {
+            rtlfixer_obs::counter_add("test.sched.episodes", 1);
+            rtlfixer_obs::observe("test.sched.value", (i as u64) * 13 % 50);
+            i
+        };
+        rtlfixer_obs::reset();
+        let _ = run_indexed(1, 30, work);
+        let legacy = ours(&rtlfixer_obs::snapshot());
+        assert!(legacy.0.iter().any(|(k, v)| k == "test.sched.episodes" && *v == 30), "{legacy:?}");
+        let features: Vec<EpisodeFeatures> = (0..30)
+            .map(|i| EpisodeFeatures {
+                fingerprint: u128::from(i as u64 % 5),
+                source_len: i,
+                category: Some("width_mismatch"),
+            })
+            .collect();
+        let plan = Plan::lpt(&features, &CostModel::static_only());
+        for jobs in [1, 4] {
+            rtlfixer_obs::reset();
+            let _ = run_planned_checked(jobs, &plan, work);
+            assert_eq!(ours(&rtlfixer_obs::snapshot()), legacy, "jobs = {jobs}");
         }
         rtlfixer_obs::set_telemetry(false);
         rtlfixer_obs::reset();
@@ -860,53 +891,6 @@ mod tests {
             let indices: Vec<usize> = failures.iter().map(|f| f.index).collect();
             assert_eq!(indices, vec![7, 13], "failures stay in index order, jobs = {jobs}");
         }
-    }
-
-    #[test]
-    fn planned_telemetry_merges_identically_to_the_legacy_pool() {
-        // The registry aggregate must be a pure function of the episode
-        // set under every engine and plan: per-episode telemetry merges at
-        // the barrier in index order regardless of claim order.
-        use crate::schedule::{CostModel, EpisodeFeatures, Plan};
-        rtlfixer_obs::set_telemetry(true);
-        let work = |i: usize| {
-            rtlfixer_obs::counter_add("test.sched.episodes", 1);
-            rtlfixer_obs::observe("test.sched.value", (i as u64) * 13 % 50);
-            i
-        };
-        let ours = |snap: &rtlfixer_obs::Snapshot| {
-            let counters: Vec<(String, u64)> = snap
-                .counters
-                .iter()
-                .filter(|(k, _)| k.starts_with("test.sched."))
-                .map(|(k, v)| (k.clone(), *v))
-                .collect();
-            let hists: Vec<(String, rtlfixer_obs::Histogram)> = snap
-                .hists
-                .iter()
-                .filter(|(k, _)| k.starts_with("test.sched."))
-                .map(|(k, v)| (k.clone(), v.clone()))
-                .collect();
-            (counters, hists)
-        };
-        rtlfixer_obs::reset();
-        let _ = run_indexed(1, 30, work);
-        let legacy = ours(&rtlfixer_obs::snapshot());
-        let features: Vec<EpisodeFeatures> = (0..30)
-            .map(|i| EpisodeFeatures {
-                fingerprint: u128::from(i as u64 % 5),
-                source_len: i,
-                category: Some("width_mismatch"),
-            })
-            .collect();
-        let plan = Plan::lpt(&features, &CostModel::static_only());
-        for jobs in [1, 4] {
-            rtlfixer_obs::reset();
-            let _ = run_planned_checked(jobs, &plan, work);
-            assert_eq!(ours(&rtlfixer_obs::snapshot()), legacy, "jobs = {jobs}");
-        }
-        rtlfixer_obs::set_telemetry(false);
-        rtlfixer_obs::reset();
     }
 
     #[test]

@@ -10,11 +10,14 @@
 //! The two entries of the paper's Figure 3 (undeclared `clk`, index out of
 //! range) appear verbatim-adjacent in [`GuidanceDatabase::quartus`].
 
+use std::fmt;
 use std::sync::{Arc, OnceLock};
 
 use serde::{Deserialize, Serialize};
 
 use rtlfixer_verilog::diag::ErrorCategory;
+
+use crate::text::TfIdfIndex;
 
 /// Which compiler's log style a database was curated against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -203,12 +206,40 @@ impl<'de> Deserialize<'de> for ErrorCategorySlug {
 }
 
 /// The guidance database for one compiler edition.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// Its entries are fixed at construction ([`GuidanceDatabase::new`]), so
+/// the TF-IDF index the database owns — built on its first lexical
+/// retrieval, see [`crate::retriever::shared_tfidf_index`] — can never go
+/// stale.
+#[derive(Clone)]
 pub struct GuidanceDatabase {
     /// Which compiler this database was curated against.
     pub edition: DatabaseEdition,
-    /// All entries.
-    pub entries: Vec<GuidanceEntry>,
+    entries: Vec<GuidanceEntry>,
+    /// Lexical index over `entries`, filled on the first retrieval.
+    pub(crate) tfidf: OnceLock<TfIdfIndex>,
+}
+
+/// The serialised form: edition and entries, without the derived index.
+#[derive(Serialize, Deserialize)]
+struct DatabaseJson {
+    edition: DatabaseEdition,
+    entries: Vec<GuidanceEntry>,
+}
+
+impl PartialEq for GuidanceDatabase {
+    fn eq(&self, other: &Self) -> bool {
+        self.edition == other.edition && self.entries == other.entries
+    }
+}
+
+impl fmt::Debug for GuidanceDatabase {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("GuidanceDatabase")
+            .field("edition", &self.edition)
+            .field("entries", &self.entries)
+            .finish_non_exhaustive()
+    }
 }
 
 fn entry(
@@ -233,13 +264,19 @@ fn entry(
 }
 
 impl GuidanceDatabase {
-    /// A content fingerprint (FNV-1a over edition and entry texts), used to
-    /// key per-database caches such as the shared TF-IDF index.
-    ///
-    /// Two databases with equal contents always fingerprint equally; a
-    /// collision between *different* databases would only make a retrieval
-    /// cache serve a wrong (but well-formed) index, and is astronomically
-    /// unlikely at the handful of databases a process ever builds.
+    /// A database over `entries`, curated against `edition`.
+    pub fn new(edition: DatabaseEdition, entries: Vec<GuidanceEntry>) -> Self {
+        GuidanceDatabase { edition, entries, tfidf: OnceLock::new() }
+    }
+
+    /// All entries, in database order.
+    pub fn entries(&self) -> &[GuidanceEntry] {
+        &self.entries
+    }
+
+    /// A content fingerprint (FNV-1a over edition and entry texts): two
+    /// databases with equal contents always fingerprint equally. It hashes
+    /// every entry's text, so keep it off per-request paths.
     pub fn fingerprint(&self) -> u64 {
         let mut hash = 0xcbf2_9ce4_8422_2325u64;
         let mut eat = |bytes: &[u8]| {
@@ -301,7 +338,8 @@ impl GuidanceDatabase {
     /// Serialises to pretty JSON (for inspection / the open-sourced
     /// artifact).
     pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("database serialises")
+        let json = DatabaseJson { edition: self.edition, entries: self.entries.clone() };
+        serde_json::to_string_pretty(&json).expect("database serialises")
     }
 
     /// Deserialises from JSON.
@@ -310,7 +348,8 @@ impl GuidanceDatabase {
     ///
     /// Returns the underlying `serde_json` error on malformed input.
     pub fn from_json(json: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(json)
+        let DatabaseJson { edition, entries } = serde_json::from_str(json)?;
+        Ok(GuidanceDatabase::new(edition, entries))
     }
 
     /// The Quartus-curated database: 11 categories, 45 entries.
@@ -510,7 +549,7 @@ impl GuidanceDatabase {
                 "Statements must be assignments, control flow, or tasks. Bare expressions (like a C function-call statement) are invalid; assign the result to a signal.",
                 None),
         ];
-        GuidanceDatabase { edition: DatabaseEdition::Quartus, entries }
+        GuidanceDatabase::new(DatabaseEdition::Quartus, entries)
     }
 
     /// The iverilog-curated database: 7 categories, 30 entries.
@@ -649,7 +688,7 @@ impl GuidanceDatabase {
                 "The statement is not a legal Verilog form; common causes are assignments without '=' or '<=', and expressions used as statements.",
                 None),
         ];
-        GuidanceDatabase { edition: DatabaseEdition::Iverilog, entries }
+        GuidanceDatabase::new(DatabaseEdition::Iverilog, entries)
     }
 }
 
@@ -714,8 +753,7 @@ mod tests {
         let quartus = GuidanceDatabase::quartus();
         assert_eq!(quartus.fingerprint(), GuidanceDatabase::quartus().fingerprint());
         assert_ne!(quartus.fingerprint(), GuidanceDatabase::iverilog().fingerprint());
-        let mut truncated = quartus.clone();
-        truncated.entries.truncate(10);
+        let truncated = GuidanceDatabase::new(quartus.edition, quartus.entries()[..10].to_vec());
         assert_ne!(quartus.fingerprint(), truncated.fingerprint());
     }
 

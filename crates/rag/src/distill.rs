@@ -18,12 +18,14 @@
 //!   (exact-retrieval) guidance, the distilled analogue of a tag match.
 //! * **The merged database** — [`DistilledStore::merged_database`] appends
 //!   the distilled entries to a base [`GuidanceDatabase`] so the lexical
-//!   and category legs of the hybrid retriever see them too. The merged
-//!   database has a new content fingerprint, which re-keys
-//!   [`crate::retriever::shared_tfidf_index`] — the index cache invalidates
-//!   by construction when the distill loop extends the database.
+//!   and category legs of the hybrid retriever see them too. Each
+//!   generation's merged database is a new database carrying its own
+//!   TF-IDF index ([`crate::retriever::shared_tfidf_index`]), so a grown
+//!   store can never be read through a stale index. The store caches only
+//!   the current generation's merged databases; an older one, and its
+//!   index, is freed when the last episode holding it drops it.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 use rtlfixer_verilog::diag::ErrorCategory;
@@ -35,6 +37,11 @@ use crate::retriever::rag_switch_on;
 /// not an unbounded log. Beyond the cap new shapes are dropped (counted by
 /// the caller's telemetry), keeping long-running daemons bounded.
 pub const MAX_DISTILLED: usize = 1024;
+
+/// Merged databases kept per generation, one per base `Arc` (the two
+/// shipped editions need two). Past the cap the oldest is dropped, so
+/// callers passing a fresh base per episode cannot grow the cache.
+const MAX_MERGED_BASES: usize = 4;
 
 /// Whether episodes read and feed the distilled store
 /// (`RTLFIXER_RAG_DISTILL` kill switch; on unless explicitly disabled —
@@ -177,9 +184,19 @@ impl DistilledSnapshot {
 #[derive(Debug, Default)]
 pub struct DistilledStore {
     current: Mutex<Arc<DistilledSnapshot>>,
-    /// Merged-database cache, keyed by (base fingerprint, generation).
-    /// Only the current generation is retained.
-    merged: Mutex<HashMap<(u64, u64), Arc<GuidanceDatabase>>>,
+    /// The current generation's merged databases, one per base, at most
+    /// [`MAX_MERGED_BASES`].
+    merged: Mutex<Vec<Merged>>,
+}
+
+/// One cached merged database, keyed by the identity of its base `Arc` and
+/// the generation it covers. Holding the base keeps its address from being
+/// reused by another database while the entry lives.
+#[derive(Debug)]
+struct Merged {
+    base: Arc<GuidanceDatabase>,
+    generation: u64,
+    db: Arc<GuidanceDatabase>,
 }
 
 impl DistilledStore {
@@ -241,38 +258,49 @@ impl DistilledStore {
             return 0;
         }
         *current = Arc::new(next);
+        drop(current);
+        // The cached merged databases cover the old generation: release
+        // them so each is freed with its last episode.
+        self.merged.lock().expect("distill merge cache lock").clear();
         inserted
     }
 
     /// The base database extended with the current distilled entries (in
-    /// fingerprint order), cached per (base, generation) so thousands of
-    /// episodes share one materialisation. An empty store aliases the base
-    /// `Arc` — zero cost until the first successful distillation.
+    /// fingerprint order), cached per (base `Arc`, generation) so thousands
+    /// of episodes share one materialisation and its index. An empty store
+    /// aliases the base `Arc` — zero cost until the first successful
+    /// distillation.
     pub fn merged_database(&self, base: &Arc<GuidanceDatabase>) -> Arc<GuidanceDatabase> {
         let snapshot = self.snapshot();
         if snapshot.is_empty() {
             return Arc::clone(base);
         }
-        let key = (base.fingerprint(), snapshot.generation());
+        let generation = snapshot.generation();
         let mut cache = self.merged.lock().expect("distill merge cache lock");
-        if let Some(hit) = cache.get(&key) {
-            return Arc::clone(hit);
+        if let Some(hit) =
+            cache.iter().find(|m| m.generation == generation && Arc::ptr_eq(&m.base, base))
+        {
+            return Arc::clone(&hit.db);
         }
-        let mut db = GuidanceDatabase {
-            edition: base.edition,
-            entries: base.entries.clone(),
-        };
-        db.entries.extend(snapshot.entries.values().map(DistilledEntry::as_guidance_entry));
+        let mut entries = base.entries().to_vec();
+        entries.extend(snapshot.entries.values().map(DistilledEntry::as_guidance_entry));
+        let db = Arc::new(GuidanceDatabase::new(base.edition, entries));
         // Older generations are dead: every new episode snapshots the
-        // current one, so retaining only it bounds the cache.
-        cache.retain(|&(_, generation), _| generation == snapshot.generation());
-        Arc::clone(cache.entry(key).or_insert_with(|| Arc::new(db)))
+        // current one. A merge that overtook our snapshot may have left
+        // newer entries; those stay.
+        cache.retain(|m| m.generation >= generation);
+        if cache.len() == MAX_MERGED_BASES {
+            cache.remove(0);
+        }
+        cache.push(Merged { base: Arc::clone(base), generation, db: Arc::clone(&db) });
+        db
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::retriever::shared_tfidf_index;
 
     fn entry(tag: u8) -> DistilledEntry {
         DistilledEntry::from_episode(
@@ -324,17 +352,45 @@ mod tests {
     }
 
     #[test]
-    fn merged_database_extends_and_rekeys() {
+    fn merged_database_extends_and_is_shared_per_generation() {
         let base = GuidanceDatabase::iverilog_shared();
         let store = DistilledStore::new();
         // Empty store: alias, not copy.
         assert!(Arc::ptr_eq(&store.merged_database(&base), &base));
         store.merge(&[DistilledEntry::from_episode("delta", ErrorCategory::SyntaxError, 1, 1)]);
         let merged = store.merged_database(&base);
-        assert_eq!(merged.entries.len(), base.entries.len() + 1);
-        assert_ne!(merged.fingerprint(), base.fingerprint(), "extension must re-key caches");
+        assert_eq!(merged.entries().len(), base.entries().len() + 1);
+        // The extension carries its own index, covering the new entry.
+        assert_eq!(shared_tfidf_index(&merged).len(), base.entries().len() + 1);
         // Same generation: one shared materialisation.
         assert!(Arc::ptr_eq(&merged, &store.merged_database(&base)));
+        // Another base of the same generation gets its own materialisation.
+        let quartus = GuidanceDatabase::quartus_shared();
+        let merged_quartus = store.merged_database(&quartus);
+        assert_eq!(merged_quartus.entries().len(), quartus.entries().len() + 1);
+        assert!(Arc::ptr_eq(&merged, &store.merged_database(&base)));
+        // A fresh base per call cannot grow the cache past its cap.
+        for _ in 0..3 * MAX_MERGED_BASES {
+            store.merged_database(&Arc::new(GuidanceDatabase::iverilog()));
+        }
+        assert_eq!(store.merged.lock().unwrap().len(), MAX_MERGED_BASES);
+    }
+
+    #[test]
+    fn old_generation_is_freed_when_its_last_holder_drops_it() {
+        let base = GuidanceDatabase::iverilog_shared();
+        let store = DistilledStore::new();
+        store.merge(&[DistilledEntry::from_episode("epsilon", ErrorCategory::SyntaxError, 1, 1)]);
+        let old = store.merged_database(&base);
+        shared_tfidf_index(&old);
+        let weak = Arc::downgrade(&old);
+        store.merge(&[DistilledEntry::from_episode("zeta", ErrorCategory::SyntaxError, 1, 1)]);
+        // An episode still holding the old generation keeps it alive.
+        assert!(weak.upgrade().is_some());
+        drop(old);
+        assert!(weak.upgrade().is_none(), "the store must not pin an old generation");
+        let new = store.merged_database(&base);
+        assert_eq!(new.entries().len(), base.entries().len() + 2);
     }
 
     #[test]

@@ -14,9 +14,12 @@
 //!   still works on tag-less iverilog logs.
 //! * [`TfIdfRetriever`] — cosine similarity over a TF-IDF index, the
 //!   "vector database" stand-in.
-
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+//!
+//! Each [`GuidanceDatabase`] owns its TF-IDF index, built on the first
+//! lexical retrieval ([`shared_tfidf_index`]) and shared by every thread
+//! and episode that reads the database. Databases are immutable, so the
+//! index never goes stale; a database extended by the distill loop is a
+//! new database with its own index.
 
 use rtlfixer_verilog::diag::ErrorCategory;
 
@@ -182,7 +185,7 @@ impl Retriever for ExactTagRetriever {
         // diagnostic, not with whichever entry sits earliest in the
         // database. Stable sort keeps database order within one tag.
         let mut hits: Vec<(usize, &GuidanceEntry)> = db
-            .entries
+            .entries()
             .iter()
             .filter_map(|e| {
                 let tag = e.error_tag?;
@@ -236,7 +239,7 @@ impl Retriever for JaccardRetriever {
         query: &RetrievalQuery,
     ) -> Vec<Retrieved<'a>> {
         let mut scored: Vec<Retrieved<'a>> = db
-            .entries
+            .entries()
             .iter()
             .map(|entry| Retrieved {
                 entry,
@@ -278,38 +281,21 @@ impl TfIdfRetriever {
 /// Builds the TF-IDF corpus for a guidance database (one document per
 /// entry: log exemplar plus guidance text).
 pub fn tfidf_corpus(db: &GuidanceDatabase) -> Vec<String> {
-    db.entries
+    db.entries()
         .iter()
         .map(|e| format!("{} {}", e.log_exemplar, e.guidance))
         .collect()
 }
 
-/// Returns the process-wide shared TF-IDF index for `db`, building it on
-/// first use.
+/// The TF-IDF index of `db`, built on first use and owned by the database.
 ///
 /// Indexing tokenises every entry and computes document frequencies —
 /// far too expensive to redo per retrieval call when a ReAct experiment
-/// issues one retrieval per compile failure. The cache is keyed by
-/// [`GuidanceDatabase::fingerprint`], so equal-content databases (clones,
-/// the shared editions, truncated ablation copies) share one immutable
-/// index across threads.
-pub fn shared_tfidf_index(db: &GuidanceDatabase) -> Arc<TfIdfIndex> {
-    static CACHE: OnceLock<Mutex<HashMap<u64, Arc<TfIdfIndex>>>> = OnceLock::new();
-    let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-    let key = db.fingerprint();
-    if let Some(hit) = cache.lock().expect("tfidf cache lock").get(&key) {
-        return Arc::clone(hit);
-    }
-    // Build outside the lock so concurrent first-queries of *different*
-    // databases don't serialise; a racing duplicate build of the same
-    // database is harmless (last insert wins, both results are identical).
-    let index = Arc::new(TfIdfIndex::new(&tfidf_corpus(db)));
-    cache
-        .lock()
-        .expect("tfidf cache lock")
-        .entry(key)
-        .or_insert(index)
-        .clone()
+/// issues one retrieval per compile failure. Concurrent first calls build
+/// once; every caller gets the same index for as long as the database
+/// lives.
+pub fn shared_tfidf_index(db: &GuidanceDatabase) -> &TfIdfIndex {
+    db.tfidf.get_or_init(|| TfIdfIndex::new(&tfidf_corpus(db)))
 }
 
 impl Retriever for TfIdfRetriever {
@@ -322,13 +308,12 @@ impl Retriever for TfIdfRetriever {
         db: &'a GuidanceDatabase,
         query: &RetrievalQuery,
     ) -> Vec<Retrieved<'a>> {
-        let index = shared_tfidf_index(db);
-        index
+        shared_tfidf_index(db)
             .top_k(&query.log, self.top_k)
             .into_iter()
             .filter(|(_, score)| *score >= self.threshold)
             .map(|(i, score)| Retrieved {
-                entry: &db.entries[i],
+                entry: &db.entries()[i],
                 score,
                 exact: false,
                 evidence: Evidence::Lexical,
@@ -394,20 +379,15 @@ impl Retriever for HybridRetriever {
         query: &RetrievalQuery,
     ) -> Vec<Retrieved<'a>> {
         let tags = query.tags();
-        // One ranked pass over the whole database; the shared index makes
-        // the lexical leg a lookup, not a rebuild.
-        let index = shared_tfidf_index(db);
-        let mut cosine = vec![0.0f64; db.entries.len()];
-        for (i, score) in index.top_k(&query.log, db.entries.len()) {
-            cosine[i] = score;
-        }
+        // Every entry's cosine from one pass over the log's own terms.
+        let cosine = shared_tfidf_index(db).scores(&query.log);
         struct Candidate<'a> {
             hit: Retrieved<'a>,
             tag_rank: usize,
             db_index: usize,
         }
         let mut candidates: Vec<Candidate<'a>> = Vec::new();
-        for (db_index, entry) in db.entries.iter().enumerate() {
+        for (db_index, entry) in db.entries().iter().enumerate() {
             let tag_rank = entry
                 .error_tag
                 .and_then(|tag| tags.iter().position(|&t| t == tag));
@@ -724,13 +704,12 @@ mod tests {
         let db = GuidanceDatabase::quartus();
         let first = shared_tfidf_index(&db);
         let again = shared_tfidf_index(&db);
-        assert!(Arc::ptr_eq(&first, &again), "same database must share one index");
-        // An equal-content clone hits the same cache slot.
-        let clone = db.clone();
-        assert!(Arc::ptr_eq(&first, &shared_tfidf_index(&clone)));
+        assert!(std::ptr::eq(first, again), "same database must share one index");
+        assert_eq!(first.len(), 45);
         // A different database gets its own index.
-        let other = shared_tfidf_index(&GuidanceDatabase::iverilog());
-        assert!(!Arc::ptr_eq(&first, &other));
+        let iverilog = GuidanceDatabase::iverilog();
+        let other = shared_tfidf_index(&iverilog);
+        assert!(!std::ptr::eq(first, other));
         assert_eq!(other.len(), 30);
     }
 
@@ -749,7 +728,7 @@ mod tests {
             .top_k(&query.log, retriever.top_k)
             .into_iter()
             .filter(|(_, s)| *s >= retriever.threshold)
-            .map(|(i, s)| (db.entries[i].id.clone(), s))
+            .map(|(i, s)| (db.entries()[i].id.clone(), s))
             .collect();
         assert_eq!(cached, cold);
     }

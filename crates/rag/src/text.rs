@@ -1,24 +1,20 @@
 //! Text utilities shared by the retrievers and (via this crate) the dataset
 //! curation pipeline: tokenisation, Jaccard similarity and TF-IDF cosine.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{HashMap, HashSet};
 
 /// Splits text into lowercase alphanumeric tokens; numbers survive as
 /// tokens so error tags like `10161` are matchable.
 pub fn tokenize(text: &str) -> Vec<String> {
-    let mut tokens = Vec::new();
-    let mut current = String::new();
-    for c in text.chars() {
-        if c.is_ascii_alphanumeric() || c == '_' {
-            current.push(c.to_ascii_lowercase());
-        } else if !current.is_empty() {
-            tokens.push(std::mem::take(&mut current));
-        }
-    }
-    if !current.is_empty() {
-        tokens.push(current);
-    }
-    tokens
+    tokens(&text.to_ascii_lowercase()).map(str::to_owned).collect()
+}
+
+/// The tokens of already-lowercased text, borrowed from it: runs of ASCII
+/// alphanumerics and `_`, split at every other character.
+fn tokens(lowered: &str) -> impl Iterator<Item = &str> {
+    lowered
+        .split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+        .filter(|token| !token.is_empty())
 }
 
 /// Jaccard similarity of the token *sets* of two texts, in `[0, 1]`.
@@ -55,88 +51,119 @@ pub fn jaccard_distance(a: &str, b: &str) -> f64 {
 /// A small TF-IDF vector index over a fixed corpus, with cosine-similarity
 /// queries — the "similarity search with a vector database" retriever
 /// option the paper mentions in §3.3.
+///
+/// Stored inverted: each term maps to its idf and a postings list of
+/// `(document, tf·idf)`, and every document's norm is computed at build
+/// time, so scoring a query visits only the postings of its own terms.
+/// Every float sum runs in lexicographic term order — the order that fixes
+/// the last bits of every score — so the map itself needs no order.
 #[derive(Debug, Clone)]
 pub struct TfIdfIndex {
-    /// Per-document term-frequency vectors (L2-normalised lazily).
-    /// Ordered maps keep summation order — and so the last float bits of
-    /// every score — identical across index instances and process runs.
-    docs: Vec<BTreeMap<String, f64>>,
-    idf: BTreeMap<String, f64>,
+    terms: HashMap<Box<str>, Term>,
+    /// Per-document L2 norm of its tf·idf vector.
+    norms: Vec<f64>,
+}
+
+/// One indexed term: its idf and the documents it occurs in.
+#[derive(Debug, Clone)]
+struct Term {
+    idf: f64,
+    /// `(document, tf·idf)` in document order.
+    postings: Vec<(usize, f64)>,
 }
 
 impl TfIdfIndex {
     /// Builds an index over `corpus`.
     pub fn new<S: AsRef<str>>(corpus: &[S]) -> Self {
-        let n = corpus.len().max(1) as f64;
-        let mut doc_freq: BTreeMap<String, usize> = BTreeMap::new();
-        let mut raw_docs = Vec::new();
-        for doc in corpus {
-            let tokens = tokenize(doc.as_ref());
-            let mut tf: BTreeMap<String, f64> = BTreeMap::new();
-            for token in &tokens {
-                *tf.entry(token.clone()).or_insert(0.0) += 1.0;
+        let lowered: Vec<String> =
+            corpus.iter().map(|text| text.as_ref().to_ascii_lowercase()).collect();
+        // Terms get ids in order of first sight; each document's ids are
+        // sorted so equal tokens form one run, its term count.
+        let mut ids: HashMap<&str, usize> = HashMap::new();
+        let mut names: Vec<&str> = Vec::new();
+        let mut postings: Vec<Vec<(usize, f64)>> = Vec::new();
+        let mut doc_ids = Vec::new();
+        for (doc, text) in lowered.iter().enumerate() {
+            doc_ids.clear();
+            for token in tokens(text) {
+                let id = *ids.entry(token).or_insert_with(|| {
+                    names.push(token);
+                    postings.push(Vec::new());
+                    names.len() - 1
+                });
+                doc_ids.push(id);
             }
-            for term in tf.keys() {
-                *doc_freq.entry(term.clone()).or_insert(0) += 1;
+            doc_ids.sort_unstable();
+            for run in doc_ids.chunk_by(|a, b| a == b) {
+                postings[run[0]].push((doc, run.len() as f64));
             }
-            raw_docs.push(tf);
         }
-        let idf: BTreeMap<String, f64> = doc_freq
-            .into_iter()
-            .map(|(term, df)| (term, (n / (1.0 + df as f64)).ln() + 1.0))
-            .collect();
-        let docs = raw_docs
-            .into_iter()
-            .map(|tf| {
-                tf.into_iter()
-                    .map(|(term, count)| {
-                        let weight = count * idf.get(&term).copied().unwrap_or(1.0);
-                        (term, weight)
-                    })
-                    .collect()
-            })
-            .collect();
-        TfIdfIndex { docs, idf }
+        let n = corpus.len().max(1) as f64;
+        // Sums start at -0.0, the identity `f64::sum` folds from, and walk
+        // the terms in lexicographic order: each norm is bit-for-bit the
+        // `sum().sqrt()` over that document's ordered weights.
+        let mut order: Vec<usize> = (0..names.len()).collect();
+        order.sort_unstable_by_key(|&id| names[id]);
+        let mut norm_sq = vec![-0.0f64; corpus.len()];
+        let mut terms = HashMap::with_capacity(names.len());
+        for id in order {
+            let mut postings = std::mem::take(&mut postings[id]);
+            let idf = (n / (1.0 + postings.len() as f64)).ln() + 1.0;
+            for (doc, weight) in &mut postings {
+                *weight *= idf;
+                norm_sq[*doc] += *weight * *weight;
+            }
+            terms.insert(Box::from(names[id]), Term { idf, postings });
+        }
+        TfIdfIndex { terms, norms: norm_sq.into_iter().map(f64::sqrt).collect() }
     }
 
     /// Number of indexed documents.
     pub fn len(&self) -> usize {
-        self.docs.len()
+        self.norms.len()
     }
 
     /// Whether the index is empty.
     pub fn is_empty(&self) -> bool {
-        self.docs.is_empty()
+        self.norms.is_empty()
     }
 
-    /// Cosine similarity of `query` against document `idx`.
-    pub fn similarity(&self, idx: usize, query: &str) -> f64 {
-        let Some(doc) = self.docs.get(idx) else { return 0.0 };
-        let mut qv: BTreeMap<String, f64> = BTreeMap::new();
-        for token in tokenize(query) {
-            *qv.entry(token).or_insert(0.0) += 1.0;
+    /// Cosine similarity of `query` against every document, in document
+    /// order.
+    ///
+    /// The log is tokenized once and each distinct query term visits only
+    /// its own postings. Every score equals the per-document cosine
+    /// `q·d / (|q|·|d|)` bit for bit: terms are summed in lexicographic
+    /// order and each dot product starts at `-0.0` as `f64::sum` does, so a
+    /// document sharing no term with the query scores `-0.0`. An empty
+    /// query or document scores `0.0`. Terms the corpus never saw weigh
+    /// idf 1 in the query norm.
+    pub fn scores(&self, query: &str) -> Vec<f64> {
+        let lowered = query.to_ascii_lowercase();
+        let mut query_terms: Vec<&str> = tokens(&lowered).collect();
+        query_terms.sort_unstable();
+        let mut dots = vec![-0.0f64; self.norms.len()];
+        let mut query_sq = -0.0f64;
+        for run in query_terms.chunk_by(|a, b| a == b) {
+            let count = run.len() as f64;
+            let term = self.terms.get(run[0]);
+            let weight = count * term.map_or(1.0, |t| t.idf);
+            query_sq += weight * weight;
+            for &(doc, doc_weight) in term.map_or(&[][..], |t| &t.postings) {
+                dots[doc] += weight * doc_weight;
+            }
         }
-        for (term, weight) in qv.iter_mut() {
-            *weight *= self.idf.get(term).copied().unwrap_or(1.0);
+        let query_norm = query_sq.sqrt();
+        for (dot, &norm) in dots.iter_mut().zip(&self.norms) {
+            *dot = if query_norm == 0.0 || norm == 0.0 { 0.0 } else { *dot / (query_norm * norm) };
         }
-        let dot: f64 = qv
-            .iter()
-            .filter_map(|(term, qw)| doc.get(term).map(|dw| qw * dw))
-            .sum();
-        let qn: f64 = qv.values().map(|w| w * w).sum::<f64>().sqrt();
-        let dn: f64 = doc.values().map(|w| w * w).sum::<f64>().sqrt();
-        if qn == 0.0 || dn == 0.0 {
-            0.0
-        } else {
-            dot / (qn * dn)
-        }
+        dots
     }
 
     /// Indices of the `k` most similar documents with their scores,
-    /// best first.
+    /// best first (ties keep document order).
     pub fn top_k(&self, query: &str, k: usize) -> Vec<(usize, f64)> {
-        let mut scored: Vec<(usize, f64)> =
-            (0..self.docs.len()).map(|i| (i, self.similarity(i, query))).collect();
+        let mut scored: Vec<(usize, f64)> = self.scores(query).into_iter().enumerate().collect();
         scored.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
         scored.truncate(k);
         scored
@@ -186,6 +213,8 @@ mod tests {
     #[test]
     fn tfidf_zero_for_disjoint_query() {
         let index = TfIdfIndex::new(&["alpha beta", "gamma delta"]);
-        assert_eq!(index.similarity(0, "zeta eta"), 0.0);
+        assert_eq!(index.scores("zeta eta"), vec![0.0, 0.0]);
+        assert_eq!(index.scores("alpha")[1], 0.0);
+        assert_eq!(index.scores(""), vec![0.0, 0.0]);
     }
 }

@@ -1,10 +1,11 @@
-//! The distill loop must invalidate the shared TF-IDF index: merging a
-//! brief changes the merged database's content fingerprint, which is the
-//! cache key `shared_tfidf_index` lives under — so retrievers on the grown
-//! database get an index covering the new entry, while retrievers still on
-//! the base database keep their original index untouched. Exercised from
-//! many threads at once, because that is how the serve daemon hits it.
+//! Each guidance database owns its TF-IDF index, so the distill loop can
+//! never read a grown database through a stale index: a merged database
+//! is a new database whose index, built on its first retrieval, covers
+//! the distilled entries, while the base database keeps its own index
+//! untouched. Exercised from many threads at once, because that is how
+//! the serve daemon hits it.
 
+use std::ptr;
 use std::sync::Arc;
 use std::thread;
 
@@ -18,7 +19,7 @@ use rtlfixer_verilog::diag::ErrorCategory;
 fn merged_database_gets_a_fresh_index_under_concurrency() {
     let base = Arc::new(GuidanceDatabase::quartus());
     let base_index = shared_tfidf_index(&base);
-    assert_eq!(base_index.len(), base.entries.len());
+    assert_eq!(base_index.len(), base.entries().len());
 
     let store = DistilledStore::new();
     store.merge(&[DistilledEntry::from_episode(
@@ -28,34 +29,26 @@ fn merged_database_gets_a_fresh_index_under_concurrency() {
         1,
     )]);
     let merged = store.merged_database(&base);
-    assert_ne!(merged.fingerprint(), base.fingerprint());
 
     // Many threads race the first build of the merged index; every one
-    // must observe a coherent index covering the distilled entry, and the
-    // cache must converge on a single shared Arc.
-    let indexes: Vec<_> = {
-        let handles: Vec<_> = (0..8)
-            .map(|_| {
-                let merged = Arc::clone(&merged);
-                thread::spawn(move || shared_tfidf_index(&merged))
-            })
-            .collect();
+    // must get the same index, and it must cover the distilled entry.
+    let indexes: Vec<_> = thread::scope(|scope| {
+        let handles: Vec<_> =
+            (0..8).map(|_| scope.spawn(|| shared_tfidf_index(&merged))).collect();
         handles.into_iter().map(|h| h.join().expect("no panics")).collect()
-    };
+    });
     for index in &indexes {
-        assert_eq!(index.len(), base.entries.len() + 1);
-    }
-    for pair in indexes.windows(2) {
-        assert!(Arc::ptr_eq(&pair[0], &pair[1]), "cache did not converge");
+        assert!(ptr::eq(*index, indexes[0]), "racing first calls built two indexes");
+        assert_eq!(index.len(), base.entries().len() + 1);
     }
 
-    // The base database's index is untouched — same Arc, same length.
+    // The base database's index is untouched — same index, same length.
     let base_again = shared_tfidf_index(&base);
-    assert!(Arc::ptr_eq(&base_index, &base_again));
-    assert_eq!(base_again.len(), base.entries.len());
+    assert!(ptr::eq(base_index, base_again));
+    assert_eq!(base_again.len(), base.entries().len());
 
     // And a lexical retriever over the merged database can actually reach
-    // the distilled entry through the fresh index.
+    // the distilled entry through the merged database's index.
     let retriever = TfIdfRetriever::new();
     let query =
         RetrievalQuery::from_log("syntax error near 'zorblefrazzle' on line 12".to_owned());

@@ -1,19 +1,204 @@
 //! Property tests for the rag text layer — the tokenizer, the Jaccard
-//! metric and the error-tag scanner that every retriever sits on. These
-//! pin algebraic invariants (bounds, symmetry, token-set identity) rather
-//! than specific values, so a refactor of the scanning loops can't quietly
-//! bend the metric the fuzzy retrievers rank by.
+//! metric, the error-tag scanner and the TF-IDF index that every retriever
+//! sits on. Most pin algebraic invariants (bounds, symmetry, token-set
+//! identity) rather than specific values, so a refactor of the scanning
+//! loops can't quietly bend the metric the fuzzy retrievers rank by. The
+//! TF-IDF index is pinned bit for bit against [`Oracle`], the per-entry
+//! cosine it replaced.
+
+use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 
-use rtlfixer_rag::text::{jaccard_distance, jaccard_similarity, tokenize};
-use rtlfixer_rag::RetrievalQuery;
+use rtlfixer_rag::text::{jaccard_distance, jaccard_similarity, tokenize, TfIdfIndex};
+use rtlfixer_rag::{tfidf_corpus, GuidanceDatabase, RetrievalQuery, Retriever, TfIdfRetriever};
 
 /// Log-ish text: words, digit runs, and the punctuation compiler logs
 /// actually contain — parens around error tags included.
 const LOG_TEXT: &str = "([a-z_]{1,8}|[0-9]{1,8}|\\(|\\)|: |'|\\n| ){0,24}";
 
+/// A corpus of up to eight `|`-separated documents over a small vocabulary,
+/// so documents share terms; any document may be empty.
+const CORPUS_TEXT: &str = "(([a-e]{1,2}|[0-3]|_) ){0,10}(\\|(([a-e]{1,2}|[0-3]|_) ){0,10}){0,7}";
+
+/// Queries over a wider vocabulary: corpus terms, repeated tokens, terms no
+/// document holds (`f`, `g`, `4`, `5`), upper case, and the empty string.
+const QUERY_TEXT: &str = "(([a-g]{1,2}|[0-5]|[A-C]|_)(: | )){0,12}";
+
+/// The per-entry TF-IDF cosine the inverted index replaced, kept as its
+/// oracle: it rebuilds the query's vector for every document it scores.
+struct Oracle {
+    docs: Vec<BTreeMap<String, f64>>,
+    idf: BTreeMap<String, f64>,
+}
+
+impl Oracle {
+    fn new<S: AsRef<str>>(corpus: &[S]) -> Self {
+        let n = corpus.len().max(1) as f64;
+        let mut doc_freq: BTreeMap<String, usize> = BTreeMap::new();
+        let mut raw_docs = Vec::new();
+        for doc in corpus {
+            let mut tf: BTreeMap<String, f64> = BTreeMap::new();
+            for token in tokenize(doc.as_ref()) {
+                *tf.entry(token).or_insert(0.0) += 1.0;
+            }
+            for term in tf.keys() {
+                *doc_freq.entry(term.clone()).or_insert(0) += 1;
+            }
+            raw_docs.push(tf);
+        }
+        let idf: BTreeMap<String, f64> = doc_freq
+            .into_iter()
+            .map(|(term, df)| (term, (n / (1.0 + df as f64)).ln() + 1.0))
+            .collect();
+        let docs = raw_docs
+            .into_iter()
+            .map(|tf| {
+                tf.into_iter()
+                    .map(|(term, count)| {
+                        let weight = count * idf.get(&term).copied().unwrap_or(1.0);
+                        (term, weight)
+                    })
+                    .collect()
+            })
+            .collect();
+        Oracle { docs, idf }
+    }
+
+    fn similarity(&self, idx: usize, query: &str) -> f64 {
+        let Some(doc) = self.docs.get(idx) else { return 0.0 };
+        let mut qv: BTreeMap<String, f64> = BTreeMap::new();
+        for token in tokenize(query) {
+            *qv.entry(token).or_insert(0.0) += 1.0;
+        }
+        for (term, weight) in qv.iter_mut() {
+            *weight *= self.idf.get(term).copied().unwrap_or(1.0);
+        }
+        let dot: f64 = qv
+            .iter()
+            .filter_map(|(term, qw)| doc.get(term).map(|dw| qw * dw))
+            .sum();
+        let qn: f64 = qv.values().map(|w| w * w).sum::<f64>().sqrt();
+        let dn: f64 = doc.values().map(|w| w * w).sum::<f64>().sqrt();
+        if qn == 0.0 || dn == 0.0 {
+            0.0
+        } else {
+            dot / (qn * dn)
+        }
+    }
+
+    fn score_bits(&self, query: &str) -> Vec<u64> {
+        (0..self.docs.len()).map(|i| self.similarity(i, query).to_bits()).collect()
+    }
+
+    fn top_k(&self, query: &str, k: usize) -> Vec<(usize, f64)> {
+        let mut scored: Vec<(usize, f64)> =
+            (0..self.docs.len()).map(|i| (i, self.similarity(i, query))).collect();
+        scored.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
+        scored.truncate(k);
+        scored
+    }
+}
+
+fn bits(scores: &[f64]) -> Vec<u64> {
+    scores.iter().map(|s| s.to_bits()).collect()
+}
+
+fn ranked_bits(ranked: &[(usize, f64)]) -> Vec<(usize, u64)> {
+    ranked.iter().map(|&(i, s)| (i, s.to_bits())).collect()
+}
+
+/// `TfIdfRetriever` over `db` against the oracle's top-k, as `(id, score
+/// bits)` lists.
+fn retriever_and_oracle(
+    db: &GuidanceDatabase,
+    oracle: &Oracle,
+    log: &str,
+) -> [Vec<(String, u64)>; 2] {
+    let retriever = TfIdfRetriever::new();
+    let served = retriever
+        .retrieve(db, &RetrievalQuery::from_log(log))
+        .into_iter()
+        .map(|hit| (hit.entry.id.clone(), hit.score.to_bits()))
+        .collect();
+    let expected = oracle
+        .top_k(log, retriever.top_k)
+        .into_iter()
+        .filter(|&(_, score)| score >= retriever.threshold)
+        .map(|(i, score)| (db.entries()[i].id.clone(), score.to_bits()))
+        .collect();
+    [served, expected]
+}
+
+#[test]
+fn tfidf_scores_match_the_oracle_on_edge_queries() {
+    let corpus = ["alpha beta beta", "", "gamma alpha", "delta"];
+    let index = TfIdfIndex::new(&corpus);
+    let oracle = Oracle::new(&corpus);
+    for query in ["", "   ", "zeta eta", "ALPHA alpha alpha", "beta zeta", "delta delta gamma"] {
+        let scores = index.scores(query);
+        assert_eq!(bits(&scores), oracle.score_bits(query), "query {query:?}");
+        for k in [0, 1, 4, 9] {
+            assert_eq!(
+                ranked_bits(&index.top_k(query, k)),
+                ranked_bits(&oracle.top_k(query, k)),
+                "query {query:?}, k {k}"
+            );
+        }
+    }
+    // A query sharing no term keeps the oracle's sign of zero: `-0.0`
+    // against documents with terms, `0.0` against the empty document.
+    let disjoint = index.scores("zeta");
+    assert!(disjoint[0] == 0.0 && disjoint[0].is_sign_negative());
+    assert!(disjoint[1] == 0.0 && disjoint[1].is_sign_positive());
+    // An empty corpus scores nothing.
+    assert!(TfIdfIndex::new::<&str>(&[]).scores("alpha").is_empty());
+}
+
+#[test]
+fn tfidf_retriever_matches_the_oracle_on_the_shipped_databases() {
+    for db in [GuidanceDatabase::quartus(), GuidanceDatabase::iverilog()] {
+        let oracle = Oracle::new(&tfidf_corpus(&db));
+        // Every entry's own exemplar, plus a real-shaped log of each edition.
+        let logs = db.entries().iter().map(|e| e.log_exemplar.clone()).chain([
+            "Error (10161): Verilog HDL error at main.sv(2): object \"clk\" is not declared."
+                .to_owned(),
+            "main.v:2: error: Unable to bind wire/reg/memory 'clk' in 'top_module'".to_owned(),
+            String::new(),
+        ]);
+        for log in logs {
+            let [served, expected] = retriever_and_oracle(&db, &oracle, &log);
+            assert_eq!(served, expected, "{:?} log {log:?}", db.edition);
+        }
+    }
+}
+
 proptest! {
+    #[test]
+    fn tfidf_scores_are_bit_identical_to_the_oracle(corpus in CORPUS_TEXT, query in QUERY_TEXT) {
+        let docs: Vec<&str> = corpus.split('|').collect();
+        let index = TfIdfIndex::new(&docs);
+        let oracle = Oracle::new(&docs);
+        prop_assert_eq!(index.len(), docs.len());
+        prop_assert_eq!(bits(&index.scores(&query)), oracle.score_bits(&query));
+        prop_assert_eq!(
+            ranked_bits(&index.top_k(&query, 3)),
+            ranked_bits(&oracle.top_k(&query, 3))
+        );
+        // A document's own text, repeated, is a query rich in shared terms.
+        let echo = format!("{0} {0}", docs[0]);
+        prop_assert_eq!(bits(&index.scores(&echo)), oracle.score_bits(&echo));
+    }
+
+    #[test]
+    fn tfidf_retriever_matches_the_oracle_on_log_text(log in LOG_TEXT) {
+        for db in [GuidanceDatabase::quartus_shared(), GuidanceDatabase::iverilog_shared()] {
+            let oracle = Oracle::new(&tfidf_corpus(&db));
+            let [served, expected] = retriever_and_oracle(&db, &oracle, &log);
+            prop_assert_eq!(served, expected);
+        }
+    }
+
     #[test]
     fn tokens_are_lowercase_word_characters(text in ".{0,200}") {
         for token in tokenize(&text) {

@@ -17,7 +17,7 @@
 //! `error` event; the daemon keeps serving.
 
 use std::io::Write;
-use std::io::{BufRead, BufReader};
+use std::io::{BufRead, BufReader, Read};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -36,6 +36,11 @@ use crate::protocol::{
     accepted_line, error_line, outcome_lines, pong_line, rejected_line, shed_line,
     shutdown_ack_line, JobSpec, Request, REJECT_BAD_REQUEST, REJECT_QUEUE_FULL, SHED_DEADLINE,
 };
+
+/// Longest request line the daemon reads, newline excluded. A longer line
+/// gets a `bad-request` rejection and its connection is closed, so no
+/// client can make a reader buffer more than this.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// Daemon configuration; [`ServeConfig::from_env`] reads the
 /// `RTLFIXER_SERVE_*` environment, CLI flags override on top.
@@ -236,8 +241,9 @@ fn handle_connection(
     admission: &Admission,
     default_deadline_ms: Option<u64>,
 ) {
-    // Accepted sockets must block: the reader parks in `lines()`. Nagle
-    // off: response events are small writes and latency is the product.
+    // Accepted sockets must block: the reader parks in `read_until`.
+    // Nagle off: response events are small writes and latency is the
+    // product.
     if stream.set_nonblocking(false).is_err() {
         return;
     }
@@ -250,12 +256,28 @@ fn handle_connection(
     else {
         return;
     };
-    for line in BufReader::new(stream).lines() {
-        let Ok(line) = line else { break };
+    let mut reader = BufReader::new(stream);
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        // One byte past the cap tells an over-long line from a full one.
+        let limit = MAX_LINE_BYTES as u64 + 1;
+        match (&mut reader).take(limit).read_until(b'\n', &mut buf) {
+            Ok(0) | Err(_) => break,
+            Ok(_) => {}
+        }
+        if buf.len() > MAX_LINE_BYTES && buf.last() != Some(&b'\n') {
+            obs::counter_add("serve.rejected.bad_request", 1);
+            let detail = format!("request line longer than {MAX_LINE_BYTES} bytes");
+            let _ = tx.send(Delivery::Own(vec![rejected_line(REJECT_BAD_REQUEST, &detail)]));
+            break;
+        }
+        let Ok(line) = std::str::from_utf8(&buf) else { break };
+        let line = line.trim_end_matches(['\n', '\r']);
         if line.trim().is_empty() {
             continue;
         }
-        if dispatch_line(&line, admission, default_deadline_ms, &tx).is_err() {
+        if dispatch_line(line, admission, default_deadline_ms, &tx).is_err() {
             break;
         }
     }

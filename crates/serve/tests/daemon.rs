@@ -10,6 +10,7 @@ use std::time::Duration;
 
 use serde::Deserialize;
 
+use rtlfixer_serve::server::MAX_LINE_BYTES;
 use rtlfixer_serve::{Daemon, ServeConfig};
 
 /// The missing-`clk` archetype the episode-path tests use: broken as
@@ -318,5 +319,29 @@ fn malformed_lines_get_bad_request_not_a_hangup() {
     // The connection survives both rejects.
     client.send("{\"op\":\"ping\"}");
     assert_eq!(client.recv().1.ev, "pong");
+    daemon.drain();
+}
+
+#[test]
+fn over_long_line_gets_bad_request_and_its_connection_closes() {
+    let _guard = setup();
+    let daemon = Daemon::start(config(1, 16, 0)).expect("daemon starts");
+    let mut client = Client::connect(daemon.port());
+    // One byte past the cap and no newline: a reader without a cap would
+    // keep buffering, waiting for a line end that never comes.
+    let flood = vec![b'x'; MAX_LINE_BYTES + 1];
+    client.writer.write_all(&flood).expect("send over-long line");
+    client.writer.flush().expect("flush over-long line");
+    let (_, event) = client.recv();
+    assert_eq!(event.ev, "rejected");
+    assert_eq!(event.reason.as_deref(), Some("bad-request"));
+    assert!(event.detail.expect("detail names the cap").contains("longer than"));
+    let mut rest = String::new();
+    let n = client.reader.read_line(&mut rest).expect("read after reject");
+    assert_eq!(n, 0, "the connection must close after the reject, got `{rest}`");
+    // The daemon itself keeps serving fresh connections.
+    let mut fresh = Client::connect(daemon.port());
+    fresh.send("{\"op\":\"ping\"}");
+    assert_eq!(fresh.recv().1.ev, "pong");
     daemon.drain();
 }

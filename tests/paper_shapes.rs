@@ -31,10 +31,10 @@ fn rtllm_suite_is_29() {
 #[test]
 fn guidance_databases_match_section_3_3() {
     let quartus = GuidanceDatabase::quartus();
-    assert_eq!(quartus.entries.len(), 45, "11 categories with 45 entries for Quartus");
+    assert_eq!(quartus.entries().len(), 45, "11 categories with 45 entries for Quartus");
     assert_eq!(quartus.categories().len(), 11);
     let iverilog = GuidanceDatabase::iverilog();
-    assert_eq!(iverilog.entries.len(), 30, "7 categories with 30 entries for iverilog");
+    assert_eq!(iverilog.entries().len(), 30, "7 categories with 30 entries for iverilog");
     assert_eq!(iverilog.categories().len(), 7);
 }
 
