@@ -426,7 +426,9 @@ impl<L: LanguageModel> RtlFixer<L> {
                 style: self.strategy.prompt_style(),
                 attempt: revisions,
             };
+            let model_span = obs::span(obs::kind::MODEL);
             let turn = self.llm.propose_repair_turn(&request);
+            drop(model_span);
             degraded |= turn.is_degraded();
             for event in &turn.events {
                 match event {

@@ -69,4 +69,15 @@ fn outputs_identical_with_cache_on_or_off_at_any_jobs() {
     let report = rtlfixer_eval::cache_report();
     assert!(report.outcomes.hits > 0, "no outcome-cache traffic: {report:?}");
     assert!(report.analyses.hits > 0, "no analysis-cache traffic: {report:?}");
+
+    // A warm repeat re-reads only sources the cache already holds: the
+    // model's drafts go through the analysis cache too, so the pass adds
+    // hits and no misses, and still matches the uncached reference.
+    assert_eq!(fix_rates(1), rates_off, "fix rates diverged (cache on, warm repeat)");
+    let warm = rtlfixer_eval::cache_report();
+    let (hits, misses) = (
+        warm.analyses.hits - report.analyses.hits,
+        warm.analyses.misses - report.analyses.misses,
+    );
+    assert!(hits > 0 && misses == 0, "warm pass: analyses hits +{hits} misses +{misses}");
 }

@@ -77,6 +77,12 @@ fn outputs_identical_with_observability_on_or_off() {
     assert!(recorded.get("agent.episodes").copied().unwrap_or(0) > 0, "{recorded:?}");
     assert!(recorded.get("agent.compiles").copied().unwrap_or(0) > 0, "{recorded:?}");
     assert!(recorded.get("span.turn.count").copied().unwrap_or(0) > 0, "{recorded:?}");
+    // Each revision round calls the model exactly once.
+    assert_eq!(
+        recorded.get("span.model.count"),
+        recorded.get("span.turn.count"),
+        "model spans must pair with turn spans: {recorded:?}"
+    );
 
     // The trace file holds parseable JSONL with per-episode summaries.
     rtlfixer_obs::set_trace_path(None); // flush + close before reading

@@ -157,15 +157,18 @@ impl LanguageModel for SimulatedLlm {
 
         for _ in 0..MAX_EDITS_PER_TURN {
             // The model re-reads its current draft (its "comprehension" is
-            // modelled by the real frontend).
-            let analysis = rtlfixer_verilog::compile(&code);
-            let errors: Vec<Diagnostic> =
-                analysis.errors().into_iter().cloned().collect();
-            if errors.is_empty() {
+            // modelled by the real frontend). Every read goes through the
+            // process-wide analysis cache (DESIGN.md §3c): the first is the
+            // candidate the agent just compiled, and the repair operators
+            // are deterministic, so intermediate drafts recur across
+            // repeats and grid cells. `compile` is pure, so a shared
+            // analysis is indistinguishable from a fresh one.
+            let analysis = rtlfixer_verilog::compile_shared(&code);
+            if analysis.is_ok() {
                 break;
             }
             let mut edited = false;
-            for diag in &errors {
+            for diag in analysis.diagnostics.iter().filter(|d| d.is_error()) {
                 let guidance = Self::guidance_level(&request.guidance, diag.category);
                 let ctx = self.attempt_context(diag, &request.feedback, guidance);
                 let key = Self::error_key(diag);

@@ -14,11 +14,11 @@
 //! * **Spans** — [`span`] returns a guard that records a wall-clock
 //!   duration into the registry (and the JSONL sink) when dropped. The
 //!   canonical kinds are [`kind::EPISODE`], [`kind::TURN`],
-//!   [`kind::COMPILE`], [`kind::RETRIEVE`], [`kind::SIMULATE`] and
-//!   [`kind::RETRY`]. Layers on a *simulated* clock (the resilient
-//!   transport's backoff) record spans with [`record_span_simulated`]
-//!   instead of real sleeping, so timings stay realistic without slowing
-//!   evaluation down.
+//!   [`kind::MODEL`], [`kind::COMPILE`], [`kind::RETRIEVE`],
+//!   [`kind::SIMULATE`], [`kind::RETRY`] and [`kind::REQUEST`]. Layers on
+//!   a *simulated* clock (the resilient transport's backoff) record spans
+//!   with [`record_span_simulated`] instead of real sleeping, so timings
+//!   stay realistic without slowing evaluation down.
 //! * **Registry** — named [counters](counter_add), [gauges](gauge_set) and
 //!   fixed-bucket (log₂) [histograms](observe), snapshotted with
 //!   [`snapshot`] and summarised with [`Histogram::percentile`].
@@ -56,6 +56,9 @@ pub mod kind {
     pub const EPISODE: &str = "episode";
     /// One ReAct revision round (retrieve → propose → recompile).
     pub const TURN: &str = "turn";
+    /// One language-model call within a revision round, retries included
+    /// (wall time; the simulated backoff is recorded as [`RETRY`]).
+    pub const MODEL: &str = "model";
     /// One compiler invocation (cached or not).
     pub const COMPILE: &str = "compile";
     /// One guidance-retrieval call.

@@ -17,6 +17,24 @@
 //!   the same bytes fanned out to every waiter.
 //! * **Draining** — once draining starts nothing is admitted
 //!   (`429 draining`); workers finish the backlog and exit.
+//!
+//! Both maps are bounded, although tenant names and fingerprints come from
+//! the request line:
+//!
+//! * **Tenants** — a tenant is remembered only while it has queued jobs or
+//!   a bucket that has not yet refilled to `burst`. Once both are false its
+//!   state and rotation slot are dropped (on its last dequeue, on a later
+//!   visit of the rotation, or when a new tenant arrives). A returning
+//!   tenant starts from a full bucket with the same weight — exactly the
+//!   state it was dropped in — so forgetting never changes an admit or
+//!   reject decision; it rejoins at the end of the rotation, as in
+//!   deficit round robin. At most `queue_limit` tenants have queued work;
+//!   the rest are tenants that spent tokens within the last
+//!   `burst / rate` seconds (with `rate = 0`, for good: forgetting them
+//!   would refill a spent quota).
+//! * **In flight** — every queued job holds one entry, and every dequeued
+//!   job, executed or shed, leaves through [`Admission::complete`], so
+//!   there are at most `queue_limit` plus the worker count entries.
 
 use std::collections::HashMap;
 use std::collections::VecDeque;
@@ -117,9 +135,15 @@ impl TokenBucket {
         TokenBucket { cfg, tokens: cfg.burst, refilled: Instant::now() }
     }
 
-    fn try_take(&mut self, now: Instant) -> bool {
+    /// Tokens available at `now`: refilled since the last take, capped at
+    /// `burst` (where a new bucket starts).
+    fn level(&self, now: Instant) -> f64 {
         let dt = now.saturating_duration_since(self.refilled).as_secs_f64();
-        self.tokens = (self.tokens + dt * self.cfg.rate).min(self.cfg.burst);
+        (self.tokens + dt * self.cfg.rate).min(self.cfg.burst)
+    }
+
+    fn try_take(&mut self, now: Instant) -> bool {
+        self.tokens = self.level(now);
         self.refilled = now;
         if self.tokens >= 1.0 {
             self.tokens -= 1.0;
@@ -157,14 +181,22 @@ struct TenantState {
     weight: u32,
 }
 
+impl TenantState {
+    /// Whether dropping this state is invisible: nothing is queued and a
+    /// fresh state (full bucket, same weight) would decide the same way.
+    fn idle(&self, now: Instant) -> bool {
+        self.queue.is_empty() && self.bucket.as_ref().is_none_or(|b| b.level(now) >= b.cfg.burst)
+    }
+}
+
 struct State {
     draining: bool,
     queued_total: usize,
+    /// Remembered tenants: those with queued jobs or a refilling bucket.
     tenants: HashMap<String, TenantState>,
-    /// Round-robin rotation: tenant names in first-seen order.
-    order: Vec<String>,
-    cursor: usize,
-    /// Dequeues left for the tenant at `cursor` this visit.
+    /// Round-robin rotation over `tenants`; the front is being visited.
+    rotation: VecDeque<String>,
+    /// Dequeues left for the front tenant this visit.
     credit: u32,
     /// fp → waiters of the episode currently queued or executing.
     inflight: HashMap<String, Vec<Waiter>>,
@@ -205,8 +237,7 @@ impl Admission {
                 draining: false,
                 queued_total: 0,
                 tenants: HashMap::new(),
-                order: Vec::new(),
-                cursor: 0,
+                rotation: VecDeque::new(),
                 credit: 0,
                 inflight: HashMap::new(),
             }),
@@ -332,7 +363,13 @@ fn ensure_tenant<'a>(
     cfg: Option<BucketCfg>,
 ) -> &'a mut TenantState {
     if !state.tenants.contains_key(tenant) {
-        state.order.push(tenant.to_owned());
+        // Forget the idle tenants whose buckets have refilled since their
+        // last dequeue, so the maps track live tenants, not every name seen.
+        let now = Instant::now();
+        state.tenants.retain(|_, t| !t.idle(now));
+        let tenants = &state.tenants;
+        state.rotation.retain(|name| tenants.contains_key(name));
+        state.rotation.push_back(tenant.to_owned());
         state.tenants.insert(
             tenant.to_owned(),
             TenantState {
@@ -345,36 +382,34 @@ fn ensure_tenant<'a>(
     state.tenants.get_mut(tenant).expect("tenant just ensured")
 }
 
-/// Weighted round-robin pick: visit tenants in first-seen rotation order,
-/// serving up to `weight` queued jobs per visit. Caller guarantees
+/// Weighted round-robin pick: visit tenants in rotation order, serving up
+/// to `weight` queued jobs per visit. A visit that ends with the tenant
+/// idle forgets it instead of rotating it. Caller guarantees
 /// `queued_total > 0`.
 fn fair_pick(state: &mut State) -> QueuedJob {
-    let tenants = state.order.len();
-    for _ in 0..=tenants {
-        let cursor = state.cursor % tenants.max(1);
-        let name = state.order[cursor].clone();
-        let (credit, weight) = {
-            let tenant = state.tenants.get_mut(&name).expect("ordered tenant exists");
-            (state.credit, tenant.weight)
-        };
-        let tenant = state.tenants.get_mut(&name).expect("ordered tenant exists");
-        if tenant.queue.is_empty() {
-            state.cursor = (cursor + 1) % tenants;
-            state.credit = 0;
-            continue;
+    let now = Instant::now();
+    let State { tenants, rotation, credit, queued_total, .. } = state;
+    for _ in 0..=rotation.len() {
+        let front = rotation.front().expect("queued work implies a remembered tenant");
+        let tenant = tenants.get_mut(front).expect("rotation names remembered tenants");
+        let job = tenant.queue.pop_front();
+        if job.is_some() {
+            *queued_total -= 1;
+            *credit = if *credit == 0 { tenant.weight } else { *credit } - 1;
         }
-        let mut credit = if credit == 0 { weight } else { credit };
-        let job = tenant.queue.pop_front().expect("non-empty queue");
-        credit -= 1;
-        state.queued_total -= 1;
-        if credit == 0 || tenant.queue.is_empty() {
-            state.cursor = (cursor + 1) % tenants;
-            state.credit = 0;
-        } else {
-            state.cursor = cursor;
-            state.credit = credit;
+        if *credit == 0 || tenant.queue.is_empty() {
+            *credit = 0; // the visit is over
+            if tenant.idle(now) {
+                if let Some(name) = rotation.pop_front() {
+                    tenants.remove(&name);
+                }
+            } else {
+                rotation.rotate_left(1);
+            }
         }
-        return job;
+        if let Some(job) = job {
+            return job;
+        }
     }
     unreachable!("queued_total > 0 but no tenant had work");
 }
@@ -465,6 +500,50 @@ mod tests {
         // heavy (weight 2) gets two slots per visit, light one: a flood of
         // heavy jobs cannot starve light.
         assert_eq!(order, vec!["h0", "h1", "l0", "h2", "h3", "l1", "h4", "h5", "l2"]);
+    }
+
+    #[test]
+    fn idle_tenants_leave_no_state_behind() {
+        let admission = Admission::new(4, None);
+        for i in 0..10_000 {
+            let fp = format!("f{i}");
+            let tenant = format!("t{i}");
+            assert_eq!(admission.admit(job(&fp, &tenant), waiter(), String::new()), Admit::Queued);
+            assert_eq!(admission.dequeue_blocking().map(|j| j.fp), Some(fp.clone()));
+            assert_eq!(admission.complete(&fp).len(), 1);
+        }
+        let state = admission.lock();
+        assert_eq!((state.tenants.len(), state.rotation.len()), (0, 0));
+        assert!(state.inflight.is_empty());
+    }
+
+    #[test]
+    fn forgetting_never_refills_a_spent_quota() {
+        // Rate 0: a spent burst never refills, so the tenant stays
+        // remembered after its queue empties, through a newcomer's sweep.
+        let quota = QuotaSpec::parse("default=0/1").unwrap();
+        let admission = Admission::new(16, quota);
+        assert_eq!(admission.admit(job("a", "t"), waiter(), String::new()), Admit::Queued);
+        assert_eq!(admission.dequeue_blocking().map(|j| j.fp).as_deref(), Some("a"));
+        admission.complete("a");
+        assert_eq!(admission.admit(job("b", "u"), waiter(), String::new()), Admit::Queued);
+        match admission.admit(job("c", "t"), waiter(), String::new()) {
+            Admit::Rejected { reason, .. } => assert_eq!(reason, REJECT_QUOTA),
+            other => panic!("expected quota-exceeded, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn refilled_tenants_are_swept_when_a_new_tenant_arrives() {
+        let quota = QuotaSpec::parse("default=1000/1").unwrap();
+        let admission = Admission::new(16, quota);
+        assert_eq!(admission.admit(job("a", "t"), waiter(), String::new()), Admit::Queued);
+        assert_eq!(admission.dequeue_blocking().map(|j| j.fp).as_deref(), Some("a"));
+        std::thread::sleep(std::time::Duration::from_millis(5)); // 1000/s refills a burst of 1
+        assert_eq!(admission.admit(job("b", "u"), waiter(), String::new()), Admit::Queued);
+        let state = admission.lock();
+        assert!(!state.tenants.contains_key("t"));
+        assert_eq!(state.rotation, ["u"]);
     }
 
     #[test]
