@@ -95,73 +95,8 @@ fn bench_simulator(c: &mut Criterion) {
                 black_box(sim.peek(design.watch))
             })
         });
-        // Threaded-dispatch A/B on the compute-dense designs: `sim/tape_*`
-        // above runs the default closure-threaded dispatcher, this pins
-        // the interpreted dispatch loop for the same tape. Short tapes are
-        // dispatch-trivial either way, so the pair is only measured where
-        // the opcode loop dominates.
-        if design.name.starts_with("crc16") {
-            rtlfixer_sim::force_sim_threaded(Some(false));
-            let mut sim = design.build();
-            let mut i = 0u64;
-            c.bench_function(&format!("sim/tape_interp_{}", design.name), |b| {
-                b.iter(|| {
-                    i = i.wrapping_add(1);
-                    (design.step)(&mut sim, i);
-                    black_box(sim.peek(design.watch))
-                })
-            });
-            rtlfixer_sim::force_sim_threaded(None);
-        }
         rtlfixer_sim::force_sim_backends(None, None);
     }
-
-    // Bit-parallel multi-seed sweep A/B on the lane-eligible CRC: one
-    // 16-seed `run_testbench_seeds` call against 16 solo `run_testbench`
-    // runs over identical stimulus (null reference models, so the numbers
-    // isolate the engines). Each iteration is a full 256-cycle testbench.
-    let flat = SIM_DESIGNS.iter().find(|d| d.name == "crc16_flat").expect("design set");
-    let analysis = rtlfixer_verilog::compile(flat.source);
-    let ports = vec![("d".to_owned(), 8u32)];
-    let clocking = rtlfixer_sim::Clocking::Sequential { clock: "clk".into() };
-    let stimuli: Vec<_> = (1..=16u64)
-        .map(|seed| rtlfixer_sim::testbench::random_stimuli(&ports, 256, seed))
-        .collect();
-    let null_model = || -> Box<dyn rtlfixer_sim::ReferenceModel> {
-        Box::new(|_: &std::collections::BTreeMap<String, LogicVec>| {
-            std::collections::BTreeMap::<String, LogicVec>::new()
-        })
-    };
-    c.bench_function("sim/seeds16_packed_crc16_flat", |b| {
-        b.iter(|| {
-            let mut models: Vec<Box<dyn rtlfixer_sim::ReferenceModel>> =
-                (0..16).map(|_| null_model()).collect();
-            black_box(rtlfixer_sim::run_testbench_seeds(
-                black_box(&analysis),
-                flat.module,
-                &mut models,
-                &stimuli,
-                &clocking,
-            ))
-        })
-    });
-    c.bench_function("sim/seeds16_scalar_crc16_flat", |b| {
-        b.iter(|| {
-            for stim in &stimuli {
-                let mut model = null_model();
-                black_box(
-                    rtlfixer_sim::run_testbench(
-                        black_box(&analysis),
-                        flat.module,
-                        model.as_mut(),
-                        stim,
-                        &clocking,
-                    )
-                    .expect("solo run"),
-                );
-            }
-        })
-    });
 }
 
 fn bench_retrieval(c: &mut Criterion) {

@@ -16,7 +16,6 @@
 //! measurements, so unlike table1/table2 they are not expected to be
 //! bit-identical across runs — only the set of designs covered is).
 
-use std::collections::BTreeMap;
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
@@ -24,7 +23,6 @@ use rtlfixer_bench::shards::{as_bool, as_str, as_usize, read_fragments, write_fr
 use rtlfixer_bench::simdesigns::{SimDesign, SIM_DESIGNS};
 use rtlfixer_bench::{die, record_run_with, render_table, RunScale};
 use rtlfixer_eval::Shard;
-use rtlfixer_sim::{value::LogicVec, Clocking, ReferenceModel};
 
 /// Runs `design` for `cycles` cycles on a fresh simulator under the
 /// currently forced backend; returns wall time plus the simulator's tape
@@ -50,74 +48,6 @@ fn per_sec(cycles: usize, wall: Duration) -> f64 {
     }
 }
 
-/// Seeds packed per lane-sweep measurement (one full lane group).
-const SWEEP_SEEDS: usize = 16;
-
-/// Output of the multi-seed lane sweep for one design.
-struct SweepResult {
-    /// Wall-time ratio of the 16-seed sweep to one single-seed run
-    /// (16.0 = no packing win at all, 1.0 = perfect 16-way packing).
-    seed_ratio: f64,
-    /// Fraction of lane-steps completed inside the packed executor.
-    occupancy: f64,
-}
-
-/// Measures the bit-parallel multi-seed path: one 16-seed sweep through
-/// `run_testbench_seeds` (lane-packed when the design qualifies) against a
-/// single-seed scalar run, over random stimulus on the design's inputs.
-fn measure_sweep(design: &SimDesign, cycles: usize) -> SweepResult {
-    let analysis = rtlfixer_verilog::compile(design.source);
-    let sim = design.build();
-    let ports: Vec<(String, u32)> = sim
-        .design()
-        .inputs
-        .iter()
-        .filter(|p| p.name != "clk")
-        .map(|p| (p.name.clone(), p.width))
-        .collect();
-    let clocking = if sim.design().inputs.iter().any(|p| p.name == "clk") {
-        Clocking::Sequential { clock: "clk".into() }
-    } else {
-        Clocking::Combinational
-    };
-    drop(sim);
-    let null_model = || -> Box<dyn ReferenceModel> {
-        Box::new(|_: &BTreeMap<String, LogicVec>| BTreeMap::<String, LogicVec>::new())
-    };
-    let stimuli: Vec<_> = (1..=SWEEP_SEEDS as u64)
-        .map(|seed| rtlfixer_sim::testbench::random_stimuli(&ports, cycles, seed))
-        .collect();
-
-    let mut solo = null_model();
-    let start = Instant::now();
-    rtlfixer_sim::run_testbench(&analysis, design.module, solo.as_mut(), &stimuli[0], &clocking)
-        .expect("single-seed run");
-    let single_wall = start.elapsed();
-
-    let mut models: Vec<Box<dyn ReferenceModel>> =
-        (0..SWEEP_SEEDS).map(|_| null_model()).collect();
-    let start = Instant::now();
-    let (results, stats) = rtlfixer_sim::run_testbench_seeds_with_stats(
-        &analysis,
-        design.module,
-        &mut models,
-        &stimuli,
-        &clocking,
-    );
-    let sweep_wall = start.elapsed();
-    for result in results {
-        result.expect("sweep lane runs");
-    }
-    SweepResult {
-        seed_ratio: if single_wall.as_secs_f64() > 0.0 {
-            sweep_wall.as_secs_f64() / single_wall.as_secs_f64()
-        } else {
-            0.0
-        },
-        occupancy: stats.occupancy(),
-    }
-}
-
 /// One design's measurements: everything the final table, JSON record,
 /// and totals need, independent of which process measured it.
 struct DesignResult {
@@ -128,17 +58,13 @@ struct DesignResult {
     wall_nanos: u64,
 }
 
-/// Measures one design under both backends (same-process A/B), plus the
-/// 16-seed lane sweep.
+/// Measures one design under both backends (same-process A/B).
 fn run_design(index: usize, design: &SimDesign, cycles: usize) -> DesignResult {
     rtlfixer_sim::force_sim_backends(None, Some(false));
     let (tree_wall, _, _) = measure(design, cycles);
     rtlfixer_sim::force_sim_backends(None, Some(true));
     let (tape_wall, fast_hits, fast_falls) = measure(design, cycles);
     rtlfixer_sim::force_sim_backends(None, None);
-    // The sweep is per-lane work over SWEEP_SEEDS lanes; scale it down so
-    // the sweep costs about as much wall time as one backend pass.
-    let sweep = measure_sweep(design, (cycles / SWEEP_SEEDS).max(100));
 
     let tree_cps = per_sec(cycles, tree_wall);
     let tape_cps = per_sec(cycles, tape_wall);
@@ -167,8 +93,6 @@ fn run_design(index: usize, design: &SimDesign, cycles: usize) -> DesignResult {
             format!("{speedup:.2}x"),
             format!("{:.0}%", fast_ratio * 100.0),
             stats.limb_class.to_string(),
-            format!("{:.2}x", sweep.seed_ratio),
-            format!("{:.0}%", sweep.occupancy * 100.0),
         ],
         extra: serde_json::json!({
             "cycles": cycles,
@@ -183,8 +107,6 @@ fn run_design(index: usize, design: &SimDesign, cycles: usize) -> DesignResult {
             "tape_fast_procs": stats.fast,
             "limb_class": stats.limb_class,
             "fast_rejected_procs": stats.fast_rejected,
-            "lane_sweep_seed_ratio": sweep.seed_ratio,
-            "lane_occupancy": sweep.occupancy,
         }),
         // Both backend passes count toward recorded totals.
         cycles: cycles * 2,
@@ -207,8 +129,6 @@ fn finish(results: &[DesignResult], cycles: usize) {
                 "speedup",
                 "fast-path",
                 "limbs",
-                "16-seed",
-                "lane-occ",
             ],
             &rows,
         )

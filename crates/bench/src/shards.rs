@@ -140,7 +140,6 @@ fn scheduler_from_json(value: &Value) -> Result<SchedulerStats, String> {
             .ok_or_else(|| format!("fragment scheduler stats missing `{key}`"))
     };
     let policy = match as_str(&value["policy"]) {
-        Some("legacy") => "legacy",
         Some("grid") => "grid",
         Some("lpt") => "lpt",
         _ => "mixed",

@@ -61,8 +61,8 @@ const CRC16_COMB: &str = "module crc16(input [7:0] d, input [15:0] crc_in,\n\
                           end\nendmodule";
 
 // Branch-free CRC: the `{16{bit}} & poly` idiom replaces the data-dependent
-// `if`, so the unrolled loop compiles to straight-line dataflow — the shape
-// the bit-parallel lane engine packs without ever diverging.
+// `if`, so the unrolled loop compiles to straight-line dataflow with no
+// data-dependent jump in the tape.
 const CRC16_FLAT: &str = "module crc16f(input clk, input [7:0] d,\n\
                           output reg [15:0] crc);\n\
                           integer i;\n\

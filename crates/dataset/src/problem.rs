@@ -181,37 +181,6 @@ impl Problem {
         }
     }
 
-    /// [`check_seeded`](Problem::check_seeded) over many seeds at once.
-    ///
-    /// Compiles once, then drives all seeds through
-    /// [`rtlfixer_sim::run_testbench_seeds`], which packs eligible designs
-    /// into the bit-parallel lane engine (up to 64 seeds per tape pass) and
-    /// falls back to per-seed scalar runs otherwise. `result[i]` is
-    /// identical to `check_seeded(code, seeds[i])`.
-    pub fn check_seeds(&self, code: &str, seeds: &[u64]) -> Vec<Verdict> {
-        let analysis = rtlfixer_verilog::compile_shared(code);
-        if !analysis.is_ok() || analysis.file.module(&self.top).is_none() {
-            return vec![Verdict::CompileError; seeds.len()];
-        }
-        let mut goldens: Vec<Box<dyn ReferenceModel>> =
-            seeds.iter().map(|_| (self.golden)() as Box<dyn ReferenceModel>).collect();
-        let stimuli: Vec<_> = seeds.iter().map(|&s| self.stimuli(s)).collect();
-        rtlfixer_sim::run_testbench_seeds(
-            &analysis,
-            &self.top,
-            &mut goldens,
-            &stimuli,
-            &self.clocking,
-        )
-        .into_iter()
-        .map(|r| match r {
-            Ok(result) if result.passed => Verdict::Pass,
-            Ok(_) => Verdict::SimMismatch,
-            Err(_) => Verdict::CompileError,
-        })
-        .collect()
-    }
-
     /// Whether this is a clocked problem.
     pub fn is_sequential(&self) -> bool {
         matches!(self.clocking, Clocking::Sequential { .. })
@@ -247,36 +216,6 @@ mod tests {
     fn solution_passes_its_own_check() {
         let p = inverter_problem();
         assert_eq!(p.check(&p.solution.clone()), Verdict::Pass);
-    }
-
-    #[test]
-    fn check_seeds_matches_per_seed_checks() {
-        // The multi-seed path (lane-packed where eligible) must agree with
-        // one check_seeded call per seed, across real suite problems.
-        let seeds = [0xC0FFEE, 1, 7, 0xDEAD_BEEF, 42];
-        for p in crate::suites::verilog_eval_human().iter().take(6) {
-            let batched = p.check_seeds(&p.solution, &seeds);
-            let solo: Vec<Verdict> =
-                seeds.iter().map(|&s| p.check_seeded(&p.solution, s)).collect();
-            assert_eq!(batched, solo, "problem {}", p.id);
-            assert!(batched.iter().all(|v| *v == Verdict::Pass), "problem {}", p.id);
-        }
-    }
-
-    #[test]
-    fn check_seeds_flags_wrong_candidates_per_seed() {
-        let p = inverter_problem();
-        let wrong = "module top_module(input [7:0] a, output [7:0] y);\n\
-                     assign y = ~a + 1;\nendmodule";
-        let seeds = [3u64, 9, 27];
-        let batched = p.check_seeds(wrong, &seeds);
-        let solo: Vec<Verdict> = seeds.iter().map(|&s| p.check_seeded(wrong, s)).collect();
-        assert_eq!(batched, solo);
-        assert!(batched.iter().all(|v| *v == Verdict::SimMismatch));
-        assert_eq!(
-            p.check_seeds("module top_module(input a;", &seeds),
-            vec![Verdict::CompileError; 3]
-        );
     }
 
     #[test]

@@ -15,6 +15,10 @@
 //! * [`run_indexed_checked`] / [`run_episodes_checked`] — the same pool
 //!   with per-index panic containment: a panicking episode becomes a
 //!   structured [`EpisodeFailure`] instead of tearing down the run.
+//! * [`run_planned_checked`] / [`run_episodes_planned`] — the one executor
+//!   behind all of these: workers claim the batches of a
+//!   [`Plan`](crate::schedule::Plan) in order. The index-range entry points
+//!   run the grid plan, one index per batch in index order.
 //! * [`episode_grid`] / [`run_episodes`] — the flattened
 //!   entries × repeats grid most experiments execute, with wall-clock
 //!   [`RunStats`].
@@ -45,7 +49,7 @@
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Mutex};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Derives the deterministic seed for one episode.
@@ -152,76 +156,7 @@ where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
-    let jobs = resolve_jobs(jobs).min(len.max(1));
-    // Each task runs inside an observability episode capture: whatever the
-    // episode records (spans, counters, trace events) lands in a
-    // worker-local buffer instead of the shared registry. Captures are
-    // merged below *after* the pool completes, in index order, so the
-    // registry contents and trace-line order are identical at every worker
-    // count. With observability off the capture calls are no-op relaxed
-    // loads. A contained panic still clears the thread's capture (partial
-    // telemetry of a failed episode is kept — failures should be visible).
-    let run_one = |index: usize| {
-        rtlfixer_obs::episode_begin();
-        let result = catch_unwind(AssertUnwindSafe(|| task(index)));
-        let telemetry = rtlfixer_obs::episode_end();
-        (result, telemetry)
-    };
-    type Slot<R> = (Result<R, String>, Option<rtlfixer_obs::EpisodeTelemetry>);
-
-    let mut slots: Vec<Option<Slot<R>>> = Vec::with_capacity(len);
-    if jobs <= 1 {
-        for index in 0..len {
-            let (result, telemetry) = run_one(index);
-            slots.push(Some((result.map_err(panic_message), telemetry)));
-        }
-    } else {
-        slots.resize_with(len, || None);
-        let cursor = AtomicUsize::new(0);
-        let (sender, receiver) = mpsc::channel::<(usize, Slot<R>)>();
-        std::thread::scope(|scope| {
-            for _ in 0..jobs {
-                let sender = sender.clone();
-                let cursor = &cursor;
-                let run_one = &run_one;
-                scope.spawn(move || loop {
-                    let index = cursor.fetch_add(1, Ordering::Relaxed);
-                    if index >= len {
-                        break;
-                    }
-                    let (result, telemetry) = run_one(index);
-                    if sender.send((index, (result.map_err(panic_message), telemetry))).is_err() {
-                        break;
-                    }
-                });
-            }
-            drop(sender);
-            // Reassemble on the spawning thread while workers are still
-            // producing; order restores determinism regardless of
-            // completion order.
-            for (index, value) in receiver {
-                slots[index] = Some(value);
-            }
-        });
-    }
-
-    let mut results = Vec::with_capacity(len);
-    let mut failures = Vec::new();
-    for (index, slot) in slots.into_iter().enumerate() {
-        let (result, telemetry) = slot.expect("worker completed every index");
-        // The pool barrier: worker-local telemetry merges into the global
-        // registry in index order, independent of which worker ran what.
-        if let Some(telemetry) = &telemetry {
-            rtlfixer_obs::merge(telemetry);
-        }
-        match result {
-            Ok(value) => results.push(Some(value)),
-            Err(message) => {
-                results.push(None);
-                failures.push(EpisodeFailure { index, message });
-            }
-        }
-    }
+    let (results, failures, _) = run_planned_checked(jobs, &crate::schedule::Plan::grid(len), task);
     (results, failures)
 }
 
@@ -242,18 +177,19 @@ pub struct PlannedMetrics {
 /// Executes a [`Plan`](crate::schedule::Plan): workers claim whole batches
 /// from a shared cursor and run members back-to-back (so a batch leader's
 /// compile/elaborate warms the artifact caches for its followers), then
-/// flush results through one lock per worker instead of one channel send
-/// per episode. Measured on the 1-core container, the legacy engine's
-/// cost is oversubscription (time-sliced workers plus a receiving main
-/// thread) more than the per-episode mpsc sends themselves; the caller
-/// ([`run_episodes_planned`]) clamps `jobs` to the hardware for that
-/// reason, while this function honours the count it is given so tests
-/// can exercise specific worker configurations.
+/// flush results through one lock per worker. [`run_episodes_planned`]
+/// clamps `jobs` to the hardware, since CPU-bound workers beyond it only
+/// oversubscribe; this function honours the count it is given, so
+/// [`run_indexed`] keeps its requested count and tests can exercise
+/// specific worker configurations.
 ///
-/// Determinism is unchanged from [`run_indexed_checked`]: results land in
-/// slots by original index, and worker-local telemetry merges into the
-/// registry at the barrier in index order, so outputs are bit-identical
-/// for every `jobs` value and every plan over the same positions.
+/// Each task runs inside an observability episode capture: whatever the
+/// episode records (spans, counters, trace events) lands in a worker-local
+/// buffer, merged into the registry at the barrier in index order. Results
+/// land in slots by original index, so outputs and registry contents are
+/// bit-identical for every `jobs` value and every plan over the same
+/// positions. A contained panic keeps the failed episode's partial
+/// telemetry — failures should be visible.
 pub fn run_planned_checked<R, F>(
     jobs: usize,
     plan: &crate::schedule::Plan,
@@ -544,10 +480,10 @@ where
 }
 
 /// [`run_episodes_checked`] routed through the scheduling subsystem
-/// ([`crate::schedule`]): the active policy picks the engine
-/// (`RTLFIXER_SCHED=0` short-circuits to the legacy mpsc pool), the plan
-/// orders the claim queue (LPT + fingerprint batching by default), and the
-/// returned [`RunStats`] carries the run's
+/// ([`crate::schedule`]): the active policy picks the plan that orders the
+/// claim queue (LPT + fingerprint batching by default, grid order under
+/// `RTLFIXER_SCHED=grid` or an "off" spelling), and the returned
+/// [`RunStats`] carries the run's
 /// [`SchedulerStats`](crate::schedule::SchedulerStats) for
 /// `results/bench_eval.json`. Results and failures are by original grid
 /// position under every policy — scheduling is invisible in the outputs.
@@ -561,21 +497,14 @@ where
     R: Send,
     F: Fn(&EpisodeSpec) -> R + Sync,
 {
-    use crate::schedule::{self, Policy, SchedulerStats};
+    use crate::schedule::{self, SchedulerStats};
     assert_eq!(specs.len(), features.len(), "one feature set per spec");
-    let policy = schedule::policy();
-    if policy == Policy::Legacy {
-        let (results, failures, stats) = run_episodes_checked(jobs, specs, episode);
-        let stats = stats.with_scheduler(SchedulerStats::legacy(specs.len()));
-        return (results, failures, stats);
-    }
     let model = schedule::CostModel::from_telemetry();
-    let plan = schedule::Plan::for_policy(policy, features, &model);
+    let plan = schedule::Plan::for_policy(schedule::policy(), features, &model);
     // Episodes are CPU-bound, so workers beyond the machine's parallelism
     // only add context-switch and cache-thrash overhead. The planner clamps
     // the pool to the hardware (results are jobs-invariant by construction,
-    // so this is pure wall-time); the legacy engine keeps the requested
-    // count, preserving the pre-scheduler behaviour under the kill switch.
+    // so this is pure wall-time).
     let hardware = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(usize::MAX);
     let jobs = resolve_jobs(jobs).min(hardware);
     let start = Instant::now();
@@ -765,11 +694,11 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_merges_identically_at_any_jobs_under_either_engine() {
+    fn telemetry_merges_identically_at_any_jobs_and_plan() {
         // Worker-local episode telemetry merges at the pool barrier in
         // index order, so the registry aggregate is a pure function of the
-        // episode set — independent of worker count, scheduling, engine and
-        // plan. Both engines are checked in this one test because each
+        // episode set — independent of worker count, scheduling and plan.
+        // Both entry points are checked in this one test because each
         // check flips the process-global telemetry flag and resets the
         // registry: as two tests running in parallel they would clear each
         // other's runs.
@@ -793,7 +722,7 @@ mod tests {
             (counters, hists)
         };
 
-        // The legacy pool at any job count.
+        // `run_indexed` (the grid plan) at any job count.
         let run = |jobs: usize| {
             rtlfixer_obs::reset();
             let _ = run_indexed(jobs, 40, |i| {
@@ -810,7 +739,7 @@ mod tests {
             assert_eq!(run(jobs), serial, "jobs = {jobs}");
         }
 
-        // The planned executor under an LPT plan against the legacy pool.
+        // An LPT plan against `run_indexed` at one job.
         let work = |i: usize| {
             rtlfixer_obs::counter_add("test.sched.episodes", 1);
             rtlfixer_obs::observe("test.sched.value", (i as u64) * 13 % 50);
@@ -818,8 +747,8 @@ mod tests {
         };
         rtlfixer_obs::reset();
         let _ = run_indexed(1, 30, work);
-        let legacy = ours(&rtlfixer_obs::snapshot());
-        assert!(legacy.0.iter().any(|(k, v)| k == "test.sched.episodes" && *v == 30), "{legacy:?}");
+        let grid = ours(&rtlfixer_obs::snapshot());
+        assert!(grid.0.iter().any(|(k, v)| k == "test.sched.episodes" && *v == 30), "{grid:?}");
         let features: Vec<EpisodeFeatures> = (0..30)
             .map(|i| EpisodeFeatures {
                 fingerprint: u128::from(i as u64 % 5),
@@ -831,14 +760,14 @@ mod tests {
         for jobs in [1, 4] {
             rtlfixer_obs::reset();
             let _ = run_planned_checked(jobs, &plan, work);
-            assert_eq!(ours(&rtlfixer_obs::snapshot()), legacy, "jobs = {jobs}");
+            assert_eq!(ours(&rtlfixer_obs::snapshot()), grid, "jobs = {jobs}");
         }
         rtlfixer_obs::set_telemetry(false);
         rtlfixer_obs::reset();
     }
 
     #[test]
-    fn planned_executor_matches_legacy_pool_under_every_plan() {
+    fn planned_executor_is_identical_under_every_plan_and_jobs() {
         use crate::schedule::{CostModel, EpisodeFeatures, Plan};
         let work = |i: usize| (i as u64).wrapping_mul(0x9E37_79B9).rotate_left(i as u32 % 64);
         let expected: Vec<Option<u64>> = (0..120).map(|i| Some(work(i))).collect();

@@ -27,10 +27,10 @@
 //! spec, results are written back by original index, and worker-local
 //! telemetry still merges at the barrier in index order — so the
 //! bit-identical-at-any-`--jobs` invariant holds under every policy, and
-//! the scheduling invariance suite pins it. The `RTLFIXER_SCHED` kill
-//! switch (`0`/`off`/`false`/`no`) restores the legacy grid-order engine;
-//! `RTLFIXER_SCHED=grid` runs the planned executor without reordering
-//! (isolating the ordering effect for A/B measurements).
+//! the scheduling invariance suite pins it. `RTLFIXER_SCHED=grid` (or any
+//! "off" spelling: `0`/`off`/`false`/`no`) runs the planned executor
+//! without reordering or batching, claiming episodes in grid order —
+//! isolating the ordering effect for A/B measurements.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -39,13 +39,9 @@ use std::sync::Mutex;
 /// Scheduling policy for one planned run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Policy {
-    /// Legacy engine: grid-order index claiming on the mpsc pool
-    /// (`RTLFIXER_SCHED=0` — the kill switch, bit-identical to the
-    /// pre-scheduler behaviour by construction).
-    Legacy,
-    /// Planned executor with singleton batches in grid order — no
-    /// reordering, no coalescing. Isolates executor effects from ordering
-    /// effects in A/B runs (`RTLFIXER_SCHED=grid`).
+    /// Singleton batches in grid order — no reordering, no coalescing.
+    /// Isolates ordering effects in A/B runs (`RTLFIXER_SCHED=grid`, or an
+    /// "off" spelling).
     Grid,
     /// Fingerprint batching + longest-expected-first ordering (default).
     Lpt,
@@ -55,21 +51,19 @@ impl Policy {
     /// Stable lowercase name recorded in `results/bench_eval.json`.
     pub fn name(self) -> &'static str {
         match self {
-            Policy::Legacy => "legacy",
             Policy::Grid => "grid",
             Policy::Lpt => "lpt",
         }
     }
 }
 
-// 0 = uninitialised, 1 = Legacy, 2 = Grid, 3 = Lpt, +8 = forced override.
+// 0 = uninitialised, 1 = Grid, 2 = Lpt, +8 = forced override.
 static POLICY: AtomicU8 = AtomicU8::new(0);
 
 fn policy_from_env() -> Policy {
     match std::env::var("RTLFIXER_SCHED") {
         Ok(value) => match value.to_ascii_lowercase().as_str() {
-            "0" | "off" | "false" | "no" => Policy::Legacy,
-            "grid" => Policy::Grid,
+            "0" | "off" | "false" | "no" | "grid" => Policy::Grid,
             // Unrecognised spellings keep the default on, mirroring the
             // other RTLFIXER_* switches: a typo must not silently change
             // the engine.
@@ -81,16 +75,14 @@ fn policy_from_env() -> Policy {
 
 fn encode(policy: Policy) -> u8 {
     match policy {
-        Policy::Legacy => 1,
-        Policy::Grid => 2,
-        Policy::Lpt => 3,
+        Policy::Grid => 1,
+        Policy::Lpt => 2,
     }
 }
 
 fn decode(bits: u8) -> Policy {
     match bits & 0b111 {
-        1 => Policy::Legacy,
-        2 => Policy::Grid,
+        1 => Policy::Grid,
         _ => Policy::Lpt,
     }
 }
@@ -319,7 +311,7 @@ pub struct Plan {
 
 impl Plan {
     /// The trivial grid-order plan: every position its own batch, in
-    /// order. Exactly the legacy claiming sequence.
+    /// order.
     pub fn grid(len: usize) -> Plan {
         Plan {
             batches: (0..len).map(|i| vec![i]).collect(),
@@ -362,13 +354,11 @@ impl Plan {
         Plan { batches, predicted, policy: Policy::Lpt }
     }
 
-    /// Builds the plan the active [`policy`] calls for. [`Policy::Legacy`]
-    /// callers should not reach this (the runner short-circuits to the
-    /// legacy engine); if one does, it gets the equivalent grid plan.
+    /// Builds the plan the active [`policy`] calls for.
     pub fn for_policy(active: Policy, features: &[EpisodeFeatures], model: &CostModel) -> Plan {
         match active {
             Policy::Lpt => Plan::lpt(features, model),
-            Policy::Grid | Policy::Legacy => Plan::grid(features.len()),
+            Policy::Grid => Plan::grid(features.len()),
         }
     }
 
@@ -396,7 +386,7 @@ impl Plan {
 /// stays `Copy`.
 #[derive(Debug, Clone, Copy, serde::Serialize)]
 pub struct SchedulerStats {
-    /// Policy name (`"legacy"`, `"grid"`, `"lpt"`).
+    /// Policy name (`"grid"`, `"lpt"`, or `"mixed"` after merging both).
     pub policy: &'static str,
     /// Batches formed by the plan.
     pub batches: usize,
@@ -411,17 +401,6 @@ pub struct SchedulerStats {
 }
 
 impl SchedulerStats {
-    /// Stats for a legacy (unplanned) run.
-    pub fn legacy(episodes: usize) -> Self {
-        SchedulerStats {
-            policy: Policy::Legacy.name(),
-            batches: episodes,
-            coalesced: 0,
-            rank_correlation: 0.0,
-            barrier_idle_us: 0,
-        }
-    }
-
     /// Folds another cell's / shard's stats into this one: batches and
     /// idle add, and the rank correlation becomes the episode-weighted
     /// mean (`self` weighted by `self_episodes`, `other` by
@@ -694,15 +673,12 @@ mod tests {
     fn policy_override_wins_and_reverts() {
         force_policy(Some(Policy::Grid));
         assert_eq!(policy(), Policy::Grid);
-        force_policy(Some(Policy::Legacy));
-        assert_eq!(policy(), Policy::Legacy);
         force_policy(None);
         // Back on the environment (unset in the test harness → Lpt, or
         // whatever the ambient RTLFIXER_SCHED says — either way stable).
         let ambient = policy();
         assert_eq!(policy(), ambient);
         assert_eq!(Policy::Lpt.name(), "lpt");
-        assert_eq!(Policy::Legacy.name(), "legacy");
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Scheduling invariance: episode results are a pure function of the spec,
 //! so the scheduler may only change *when* an episode runs — never its
-//! verdict. The planned executor (grid and LPT policies), every worker
-//! count, and the sharded multi-process path must all reproduce the legacy
-//! mpsc pool's verdict fingerprint bit-for-bit. If any point of the matrix
+//! verdict. Both policies (grid and LPT), every worker count, and the
+//! sharded multi-process path must all reproduce the serial grid-order
+//! run's verdict fingerprint bit-for-bit. If any point of the matrix
 //! moves, the scheduler changed results, which is a correctness bug — not
 //! a baseline to re-record.
 
@@ -31,17 +31,17 @@ fn grid_outputs(policy: Policy, jobs: usize) -> (u128, Vec<u64>) {
 }
 
 #[test]
-fn every_policy_and_worker_count_reproduces_the_legacy_verdicts() {
+fn every_policy_and_worker_count_reproduces_the_serial_grid_verdicts() {
     let _guard = POLICY_LOCK.lock().unwrap();
-    // Reference semantics: the pre-scheduler engine, serial.
-    let reference = grid_outputs(Policy::Legacy, 1);
+    // Reference semantics: grid order (no reordering, no batching), serial.
+    let reference = grid_outputs(Policy::Grid, 1);
     assert_ne!(reference.0, 0, "degenerate fingerprint");
-    for policy in [Policy::Legacy, Policy::Grid, Policy::Lpt] {
+    for policy in [Policy::Grid, Policy::Lpt] {
         for jobs in [1, 4] {
             let measured = grid_outputs(policy, jobs);
             assert_eq!(
                 measured, reference,
-                "verdicts diverged from the legacy pool at {policy:?} --jobs {jobs}"
+                "verdicts diverged from serial grid order at {policy:?} --jobs {jobs}"
             );
         }
     }

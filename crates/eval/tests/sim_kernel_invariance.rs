@@ -1,11 +1,10 @@
 //! Sim-kernel invariance: every simulation backend must be bit-identical
 //! to the tree-walking interpreter the kernel replaced. The backends form
-//! a four-way A/B/C/D matrix — (A) the full-sweep walker (event kernel
+//! a three-way A/B/C matrix — (A) the full-sweep walker (event kernel
 //! off), (B) the interned event-driven kernel, (C) the compiled
-//! register-bytecode tape with its dispatch loop interpreted, (D) the same
-//! tape under closure-threaded dispatch (the default) — driven through
-//! `force_sim_backends` / `force_sim_threaded`. Two pins, both recorded
-//! against the pre-kernel implementation:
+//! register-bytecode tape (the default) — driven through
+//! `force_sim_backends`. Two pins, both recorded against the pre-kernel
+//! implementation:
 //!
 //! 1. The full `table1 --quick` episode grid (14 cells x 40 entries x 3
 //!    repeats) reproduces the recorded fix rates exactly, at `--jobs 1` and
@@ -26,28 +25,21 @@ use rand::SeedableRng;
 
 use rtlfixer_dataset::{mutate, rtllm, verilog_eval_human, verilog_eval_machine, Verdict};
 use rtlfixer_eval::experiments::table1::{table1, FixRateConfig};
-use rtlfixer_sim::{force_sim_backends, force_sim_threaded};
+use rtlfixer_sim::force_sim_backends;
 
 /// The backend switches are process-global; tests forcing them must not
 /// overlap.
 static BACKEND_LOCK: Mutex<()> = Mutex::new(());
 
-/// `(label, event kernel, tape, threaded dispatch)` per matrix point. The
-/// threaded axis only exists on the tape backend (the walkers have no
-/// dispatch loop to thread), so the matrix is the three kernels plus the
-/// tape's interpreted twin rather than a full cross product.
-const BACKENDS: [(&str, bool, bool, bool); 4] = [
-    ("sweep", false, false, true),
-    ("event", true, false, true),
-    ("tape-interp", true, true, false),
-    ("tape-threaded", true, true, true),
-];
+/// `(label, event kernel, tape)` per matrix point.
+const BACKENDS: [(&str, bool, bool); 3] =
+    [("sweep", false, false), ("event", true, false), ("tape", true, true)];
 
 /// The `--quick` grid's fix rates, recorded before the kernel swap
 /// (bit-exact: shortest-roundtrip literals parse back to the same f64).
 ///
 /// The recording pins the *whole* pipeline, so an intentional agent-layer
-/// change legitimately moves it — identically across all four backends.
+/// change legitimately moves it — identically across all three backends.
 /// Cell 3 (One-shot + RAG + iverilog) was re-recorded when the hybrid
 /// retriever became the RAG default; every other cell is unchanged from
 /// the pre-kernel recording. A divergence between backends is still a
@@ -79,9 +71,8 @@ fn table1_quick_grid_matches_recorded_fingerprint_under_every_backend() {
     let _guard = BACKEND_LOCK.lock().unwrap();
     rtlfixer_faults::set_global_spec(None);
     let pinned: Vec<u64> = QUICK_GRID_RATES.iter().map(|r| r.to_bits()).collect();
-    for (label, event, tape, threaded) in BACKENDS {
+    for (label, event, tape) in BACKENDS {
         force_sim_backends(Some(event), Some(tape));
-        force_sim_threaded(Some(threaded));
         for jobs in [1, 4] {
             let measured = quick_grid_rates(jobs);
             assert_eq!(
@@ -94,7 +85,6 @@ fn table1_quick_grid_matches_recorded_fingerprint_under_every_backend() {
         }
     }
     force_sim_backends(None, None);
-    force_sim_threaded(None);
 }
 
 /// Verdict transcript fingerprint recorded against the pre-kernel
@@ -139,16 +129,14 @@ fn unstable_feedback_is_identical_under_every_backend() {
         .solution
         .replace("endmodule", "wire osc_n;\nassign osc_n = ~osc_n;\nendmodule");
     let mut rendered = Vec::new();
-    for (label, event, tape, threaded) in BACKENDS {
+    for (label, event, tape) in BACKENDS {
         force_sim_backends(Some(event), Some(tape));
-        force_sim_threaded(Some(threaded));
         let feedback = rtlfixer_eval::sim_debug::render_sim_feedback(&problem, &oscillating)
             .expect("unstable designs still render feedback");
         assert!(feedback.contains("osc_n"), "`{label}`: {feedback}");
         rendered.push((label, feedback));
     }
     force_sim_backends(None, None);
-    force_sim_threaded(None);
     let (baseline_label, baseline) = &rendered[0];
     for (label, feedback) in &rendered[1..] {
         assert_eq!(
@@ -161,9 +149,8 @@ fn unstable_feedback_is_identical_under_every_backend() {
 #[test]
 fn testbench_verdicts_match_recorded_fingerprint_under_every_backend() {
     let _guard = BACKEND_LOCK.lock().unwrap();
-    for (label, event, tape, threaded) in BACKENDS {
+    for (label, event, tape) in BACKENDS {
         force_sim_backends(Some(event), Some(tape));
-        force_sim_threaded(Some(threaded));
         let transcript = verdict_transcript();
         // Non-vacuity: the transcript must exercise both the pass and the
         // mismatch paths of the simulator, not just compile errors.
@@ -178,5 +165,4 @@ fn testbench_verdicts_match_recorded_fingerprint_under_every_backend() {
         );
     }
     force_sim_backends(None, None);
-    force_sim_threaded(None);
 }

@@ -161,7 +161,7 @@ pub struct QueuedJob {
     pub fp: String,
     /// The job itself.
     pub spec: JobSpec,
-    /// Owning tenant (latency attribution).
+    /// Owning tenant (its fair-share queue and quota bucket).
     pub tenant: String,
     /// Admission instant — queue-wait deadlines count from here.
     pub admitted: Instant,

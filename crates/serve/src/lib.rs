@@ -77,8 +77,11 @@ pub fn daemon_main(args: &[String]) -> Result<(), String> {
             }
             "--quota" => config.quota = QuotaSpec::parse(value?)?,
             "--min-service-ms" => {
-                let ms: u64 = value?.parse().map_err(|_| "bad --min-service-ms value".to_string())?;
-                config.min_service_us = ms * 1000;
+                config.min_service_us = value?
+                    .parse::<u64>()
+                    .ok()
+                    .and_then(|ms| ms.checked_mul(1000))
+                    .ok_or_else(|| "bad --min-service-ms value".to_string())?;
             }
             "--deadline-ms" => {
                 config.default_deadline_ms =
@@ -105,4 +108,18 @@ pub fn daemon_main(args: &[String]) -> Result<(), String> {
     }
     daemon.drain();
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::daemon_main;
+
+    #[test]
+    fn min_service_ms_overflow_is_rejected_before_binding() {
+        // u64::MAX ms has no u64 microsecond value: the flag must fail to
+        // parse rather than panic or wrap to a wrong floor.
+        let err = daemon_main(&["--min-service-ms".into(), u64::MAX.to_string()])
+            .expect_err("an overflowing floor is a flag error");
+        assert!(err.contains("--min-service-ms"), "{err}");
+    }
 }

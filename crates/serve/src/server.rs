@@ -96,7 +96,9 @@ impl ServeConfig {
         }
         if let Ok(text) = std::env::var("RTLFIXER_SERVE_MIN_SERVICE_MS") {
             let ms: u64 = parse_env("RTLFIXER_SERVE_MIN_SERVICE_MS", &text)?;
-            config.min_service_us = ms * 1000;
+            config.min_service_us = ms
+                .checked_mul(1000)
+                .ok_or_else(|| format!("RTLFIXER_SERVE_MIN_SERVICE_MS: cannot parse `{text}`"))?;
         }
         if let Ok(text) = std::env::var("RTLFIXER_SERVE_DEADLINE_MS") {
             config.default_deadline_ms = Some(parse_env("RTLFIXER_SERVE_DEADLINE_MS", &text)?);
@@ -449,7 +451,6 @@ fn worker_loop(admission: &Admission, distilled: &Arc<DistilledStore>, min_servi
         fan_out(admission.complete(&job.fp), &lines);
         let latency_us = job.admitted.elapsed().as_micros() as u64;
         obs::observe("serve.latency_us", latency_us);
-        obs::observe(&format!("serve.latency_us.tenant.{}", job.tenant), latency_us);
         obs::gauge_set("serve.queue_depth", admission.queue_depth() as i64);
     }
 }

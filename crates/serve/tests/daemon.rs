@@ -183,6 +183,39 @@ fn concurrent_identical_requests_coalesce_to_one_episode() {
     assert_eq!(episode_spans, 1, "one episode executed for {clients} requests");
 }
 
+/// Tenant names arrive verbatim in request lines, so none may become a
+/// telemetry key: with telemetry on, 64 tenants add no key naming them.
+#[test]
+fn tenant_names_never_become_telemetry_keys() {
+    let _guard = setup();
+    let daemon = Daemon::start(config(2, 128, 0)).expect("daemon starts");
+    let mut client = Client::connect(daemon.port());
+    let tenants = 64;
+    for index in 0..tenants {
+        client.send(&fix_line(BROKEN, &format!(",\"tenant\":\"flood-{index}\",\"seed\":{index}")));
+    }
+    let mut results = 0;
+    while results < tenants {
+        let (_, event) = client.recv();
+        match event.ev.as_str() {
+            "accepted" | "trace" => {}
+            "result" => results += 1,
+            other => panic!("unexpected event `{other}`"),
+        }
+    }
+    daemon.drain();
+    let snapshot = rtlfixer_obs::snapshot();
+    assert!(snapshot.hists.contains_key("serve.latency_us"), "telemetry recorded latency");
+    let leaked: Vec<&String> = snapshot
+        .counters
+        .keys()
+        .chain(snapshot.gauges.keys())
+        .chain(snapshot.hists.keys())
+        .filter(|key| key.contains("flood-"))
+        .collect();
+    assert!(leaked.is_empty(), "tenant names leaked into telemetry keys: {leaked:?}");
+}
+
 #[test]
 fn full_queue_rejects_with_429_and_serves_the_rest() {
     let _guard = setup();

@@ -72,7 +72,7 @@ fn from_u128<const L: usize>(x: u128) -> [u64; L] {
 /// Loads the input cone into shadow registers, recording originals in
 /// `forig` (stride `L`). Returns `false` on any x/z or over-wide value.
 #[inline]
-pub(crate) fn load_cone<const L: usize>(
+fn load_cone<const L: usize>(
     state: &[StateValue],
     fast: &FastTape,
     fregs: &mut [u64],
@@ -96,7 +96,7 @@ pub(crate) fn load_cone<const L: usize>(
 /// change-then-revert writes), reproducing the tree walker's `set_state`
 /// skip/dirty behaviour.
 #[inline]
-pub(crate) fn commit_cone<const L: usize>(
+fn commit_cone<const L: usize>(
     state: &mut [StateValue],
     fast: &FastTape,
     fregs: &[u64],

@@ -21,15 +21,18 @@
 //!   whole-state compare (untouched signals cannot differ).
 //!
 //! * When a process carries a compiled tape ([`crate::tape`]), execution
-//!   dispatches over its flat register bytecode (with a two-state `u64`
-//!   fast variant when the input cone is x-free) instead of walking the
-//!   `KExpr` tree — same semantics, no per-evaluation recursion.
+//!   dispatches over its flat register bytecode instead of walking the
+//!   `KExpr` tree — same semantics, no per-evaluation recursion. When the
+//!   input cone is x-free, the tape's two-state variant runs first, over
+//!   1-, 2- or 4-limb `u64` registers; one interpreted loop
+//!   ([`crate::fast`]) runs every register class.
 //!
 //! Setting `RTLFIXER_SIM_EVENT=0` (or `off`/`false`) disables the
 //! event-driven filter and re-runs every combinational process each sweep;
 //! `RTLFIXER_SIM_TAPE=0` (or `off`/`false`) disables tape execution and
-//! walks the trees. Both are debugging fallbacks that must produce
-//! bit-identical results.
+//! walks the trees. Both are reference fallbacks that must produce
+//! bit-identical results. `RTLFIXER_SIM_WIDE=0` builds only 1-limb
+//! two-state tapes.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
@@ -114,26 +117,26 @@ impl std::error::Error for SimError {}
 
 /// A fixed-capacity bitset over `SigId`s.
 #[derive(Debug, Clone)]
-pub(crate) struct BitSet {
+struct BitSet {
     words: Vec<u64>,
 }
 
 impl BitSet {
-    pub(crate) fn new(bits: usize) -> BitSet {
+    fn new(bits: usize) -> BitSet {
         BitSet { words: vec![0; bits.div_ceil(64)] }
     }
 
     /// All bits set (trailing bits past `bits` are harmless: no `SigId`
     /// maps to them).
-    pub(crate) fn all(bits: usize) -> BitSet {
+    fn all(bits: usize) -> BitSet {
         BitSet { words: vec![u64::MAX; bits.div_ceil(64)] }
     }
 
-    pub(crate) fn get(&self, i: SigId) -> bool {
+    fn get(&self, i: SigId) -> bool {
         (self.words[i as usize / 64] >> (i % 64)) & 1 == 1
     }
 
-    pub(crate) fn set(&mut self, i: SigId) {
+    fn set(&mut self, i: SigId) {
         self.words[i as usize / 64] |= 1u64 << (i % 64);
     }
 
@@ -141,7 +144,7 @@ impl BitSet {
         self.words[i as usize / 64] &= !(1u64 << (i % 64));
     }
 
-    pub(crate) fn clear_all(&mut self) {
+    fn clear_all(&mut self) {
         self.words.fill(0);
     }
 }
@@ -196,9 +199,6 @@ pub(crate) fn set_state(
 /// environment, 1 = force off, 2 = force on.
 static FORCE_EVENT: AtomicU8 = AtomicU8::new(0);
 static FORCE_TAPE: AtomicU8 = AtomicU8::new(0);
-static FORCE_THREADED: AtomicU8 = AtomicU8::new(0);
-static FORCE_WIDE: AtomicU8 = AtomicU8::new(0);
-static FORCE_LANES: AtomicU8 = AtomicU8::new(0);
 
 /// Overrides the simulation backend selection for the current process,
 /// bypassing the `RTLFIXER_SIM_EVENT` / `RTLFIXER_SIM_TAPE` environment
@@ -215,42 +215,9 @@ pub fn force_sim_backends(event: Option<bool>, tape: Option<bool>) {
     FORCE_TAPE.store(enc(tape), Ordering::Relaxed);
 }
 
-fn enc_force(v: Option<bool>) -> u8 {
-    match v {
-        None => 0,
-        Some(false) => 1,
-        Some(true) => 2,
-    }
-}
-
-/// Overrides threaded-dispatch selection for the current process, bypassing
-/// the `RTLFIXER_SIM_THREADED` environment switch. `None` restores
-/// environment-driven behaviour. Intended for in-process A/B invariance
-/// tests and benchmarks.
-#[doc(hidden)]
-pub fn force_sim_threaded(threaded: Option<bool>) {
-    FORCE_THREADED.store(enc_force(threaded), Ordering::Relaxed);
-}
-
-/// Overrides multi-limb fast-path selection for the current process,
-/// bypassing the `RTLFIXER_SIM_WIDE` environment switch. Note that the
-/// switch is consulted at tape *build* time, so it only affects designs
-/// whose tapes have not been compiled yet (fresh processes in practice).
-#[doc(hidden)]
-pub fn force_sim_wide(wide: Option<bool>) {
-    FORCE_WIDE.store(enc_force(wide), Ordering::Relaxed);
-}
-
-/// Overrides multi-seed lane-packing selection for the current process,
-/// bypassing the `RTLFIXER_SIM_LANES` environment switch.
-#[doc(hidden)]
-pub fn force_sim_lanes(lanes: Option<bool>) {
-    FORCE_LANES.store(enc_force(lanes), Ordering::Relaxed);
-}
-
 /// Returns whether the event-driven settle filter is enabled (default yes;
 /// `RTLFIXER_SIM_EVENT=0|off|false` forces the full-sweep fallback).
-pub(crate) fn event_driven() -> bool {
+fn event_driven() -> bool {
     static MODE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
     match FORCE_EVENT.load(Ordering::Relaxed) {
         1 => false,
@@ -266,7 +233,7 @@ pub(crate) fn event_driven() -> bool {
 
 /// Returns whether compiled-tape execution is enabled (default yes;
 /// `RTLFIXER_SIM_TAPE=0|off|false` forces the tree-walking kernel).
-pub(crate) fn tape_enabled() -> bool {
+fn tape_enabled() -> bool {
     static MODE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
     match FORCE_TAPE.load(Ordering::Relaxed) {
         1 => false,
@@ -280,54 +247,14 @@ pub(crate) fn tape_enabled() -> bool {
     }
 }
 
-/// Returns whether threaded-dispatch execution of scalar fast tapes is
-/// enabled (default yes; `RTLFIXER_SIM_THREADED=0|off|false` restores the
-/// interpreted fast loop).
-fn threaded_enabled() -> bool {
-    static MODE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    match FORCE_THREADED.load(Ordering::Relaxed) {
-        1 => false,
-        2 => true,
-        _ => *MODE.get_or_init(|| {
-            !matches!(
-                std::env::var("RTLFIXER_SIM_THREADED").as_deref(),
-                Ok("0") | Ok("off") | Ok("false")
-            )
-        }),
-    }
-}
-
 /// Returns whether multi-limb (2/4-limb) fast tapes may be built (default
 /// yes; `RTLFIXER_SIM_WIDE=0|off|false` restores the scalar-only fast
 /// path). Consulted at tape build time.
 pub(crate) fn wide_enabled() -> bool {
     static MODE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    match FORCE_WIDE.load(Ordering::Relaxed) {
-        1 => false,
-        2 => true,
-        _ => *MODE.get_or_init(|| {
-            !matches!(
-                std::env::var("RTLFIXER_SIM_WIDE").as_deref(),
-                Ok("0") | Ok("off") | Ok("false")
-            )
-        }),
-    }
-}
-
-/// Returns whether bit-parallel multi-seed lane packing is enabled (default
-/// yes; `RTLFIXER_SIM_LANES=0|off|false` forces scalar per-seed runs).
-pub(crate) fn lanes_enabled() -> bool {
-    static MODE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    match FORCE_LANES.load(Ordering::Relaxed) {
-        1 => false,
-        2 => true,
-        _ => *MODE.get_or_init(|| {
-            !matches!(
-                std::env::var("RTLFIXER_SIM_LANES").as_deref(),
-                Ok("0") | Ok("off") | Ok("false")
-            )
-        }),
-    }
+    *MODE.get_or_init(|| {
+        !matches!(std::env::var("RTLFIXER_SIM_WIDE").as_deref(), Ok("0") | Ok("off") | Ok("false"))
+    })
 }
 
 /// A cycle-level simulator over an elaborated design.
@@ -482,35 +409,6 @@ impl Simulator {
     /// The elaborated design.
     pub fn design(&self) -> &Design {
         &self.design
-    }
-
-    /// The lowered kernel.
-    pub(crate) fn kernel_ref(&self) -> &Arc<Kernel> {
-        &self.kernel
-    }
-
-    /// The raw signal state slab.
-    pub(crate) fn state_rows(&self) -> &[StateValue] {
-        &self.state
-    }
-
-    /// Replaces the entire signal state (lane materialisation). Everything
-    /// is marked dirty so the next settle re-evaluates every process.
-    pub(crate) fn install_state(&mut self, state: Vec<StateValue>) {
-        debug_assert_eq!(state.len(), self.kernel.sigs.len());
-        self.state = state;
-        let n = self.kernel.sigs.len();
-        self.prev_dirty = BitSet::all(n);
-        self.curr_dirty.clear_all();
-        self.touched_mask.clear_all();
-        self.touched.clear();
-    }
-
-    /// [`Simulator::poke`] by pre-resolved signal id.
-    pub(crate) fn poke_id(&mut self, id: SigId, value: LogicVec) {
-        let width = self.kernel.sigs[id as usize].def.width;
-        let mut log = Some(WriteLog { dirty: &mut self.prev_dirty, sweep: None });
-        set_state(&mut self.state, &mut log, id, StateValue::Vec(value.resize(width)));
     }
 
     /// Sets a signal (usually a top-level input) without propagation.
@@ -1591,17 +1489,9 @@ fn run_tape_auto(
     if let Some(fast) = &tape.fast {
         let TapeScratch { fregs, fctrs, forig, fnba, .. } = scratch;
         let ok = match fast.limbs {
-            1 => {
-                if threaded_enabled() {
-                    crate::thread::run_threaded(
-                        k, state, fast, tape.nctrs, fregs, fctrs, forig, fnba, nba, log,
-                    )
-                } else {
-                    crate::fast::run_fast_tape::<1>(
-                        k, state, fast, tape.nctrs, fregs, fctrs, forig, fnba, nba, log,
-                    )
-                }
-            }
+            1 => crate::fast::run_fast_tape::<1>(
+                k, state, fast, tape.nctrs, fregs, fctrs, forig, fnba, nba, log,
+            ),
             2 => crate::fast::run_fast_tape::<2>(
                 k, state, fast, tape.nctrs, fregs, fctrs, forig, fnba, nba, log,
             ),

@@ -12,7 +12,10 @@
 //!    with hierarchical prefixes, generate loops unrolled).
 //! 2. [`Simulator`] executes the design: settle-to-fixpoint combinational
 //!    evaluation, two-phase non-blocking sequential semantics, 4-state
-//!    values ([`value::LogicVec`]).
+//!    values ([`value::LogicVec`]). Each process runs as a compiled
+//!    register bytecode tape, with a two-state variant tried first when its
+//!    inputs are x-free; the tree walker is the reference the tape must
+//!    match bit for bit.
 //! 3. [`testbench::run_testbench`] compares the device under test against a
 //!    Rust [`testbench::ReferenceModel`] over deterministic stimulus.
 //!
@@ -39,23 +42,14 @@
 pub mod elab;
 mod fast;
 pub mod interp;
-mod lanes;
 mod lower;
 mod tape;
 pub mod testbench;
-mod thread;
 pub mod value;
 pub mod vcd;
 mod wide;
 
-pub use interp::{
-    force_sim_backends, force_sim_lanes, force_sim_threaded, force_sim_wide, SimError, Simulator,
-    StateValue,
-};
-pub use lanes::{LaneAction, LaneRunner, LaneStats};
+pub use interp::{force_sim_backends, SimError, Simulator, StateValue};
 pub use tape::TapeStats;
-pub use testbench::{
-    run_testbench, run_testbench_seeds, run_testbench_seeds_with_stats, Clocking, ReferenceModel,
-    TestResult,
-};
+pub use testbench::{run_testbench, Clocking, ReferenceModel, TestResult};
 pub use value::LogicVec;

@@ -1,6 +1,7 @@
 //! Tape compilation: lowers each kernel process one step further, from
 //! [`crate::lower::KExpr`] trees into a flat register-based bytecode
-//! ("tape") executed by a tight dispatch loop in [`crate::interp`].
+//! ("tape") executed by a tight dispatch loop in [`crate::interp`] (the
+//! two-state variant by [`crate::fast`]).
 //!
 //! The pipeline per process:
 //!
@@ -18,8 +19,9 @@
 //!    read (typically exposed by folding and dropped writes) are removed
 //!    and jump targets remapped.
 //! 4. **Two-state fast path** — when every value in the process's input
-//!    cone has a static width of at most 64 bits and no x/z can enter it,
-//!    a parallel [`FOp`] tape over a plain `u64` register file is emitted.
+//!    cone has a static width of at most 256 bits and no x/z can enter it,
+//!    a parallel [`FOp`] tape over a flat `u64` register file is emitted,
+//!    with 1, 2 or 4 limbs per register chosen by the widest value.
 //!    Its prologue verifies the cone is x-free (falling back to the
 //!    four-state tape otherwise), all writes are buffered in shadow
 //!    registers, and any op that *would* produce x/z (division by zero,
@@ -243,8 +245,6 @@ pub(crate) struct FastTape {
     pub(crate) limbs: u32,
     /// Wide-constant pool: `limbs` u64s per entry, LSB limb first.
     pub(crate) wconsts: Box<[u64]>,
-    /// Lazily-built threaded-dispatch handler table (`limbs == 1` only).
-    pub(crate) thread: std::sync::OnceLock<crate::thread::Handlers>,
 }
 
 /// Two-state ops. Registers always hold values masked to their static
@@ -2253,7 +2253,6 @@ impl<'k> Compiler<'k> {
             cone: cone.into_boxed_slice(),
             limbs,
             wconsts: wconsts.into_boxed_slice(),
-            thread: std::sync::OnceLock::new(),
         })
     }
 

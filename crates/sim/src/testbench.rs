@@ -3,14 +3,15 @@
 //! Functional correctness (the paper's pass@k metric, Eq. 2) is measured by
 //! simulating a candidate implementation against a [`ReferenceModel`] — a
 //! Rust-level golden implementation of the problem — over a deterministic
-//! stimulus sequence, and comparing outputs cycle by cycle.
+//! stimulus sequence, and comparing outputs cycle by cycle. One run drives
+//! one simulator over one stimulus sequence; a multi-seed check is a loop
+//! of runs.
 
 use std::collections::BTreeMap;
 
 use rtlfixer_verilog::Analysis;
 
 use crate::interp::Simulator;
-use crate::lanes::LaneStats;
 use crate::value::LogicVec;
 
 /// A golden reference implementation of a benchmark problem.
@@ -172,193 +173,6 @@ pub fn run_testbench(
         mismatch_count,
         first_mismatch,
     })
-}
-
-/// Runs one golden model per seed-lane against the same DUT, packing lanes
-/// into the bit-parallel engine when the design is eligible.
-///
-/// `models[i]` is checked against `stimuli[i]`; the result at index `i` is
-/// bit-identical to `run_testbench(analysis, top, models[i], &stimuli[i],
-/// clocking)` run on its own — the lane engine peels any lane whose data
-/// diverges from the pack back to an ordinary scalar simulator, and designs
-/// (or lane groups) that are ineligible fall back to a plain scalar loop.
-/// Lanes are chunked in groups of up to 64. Gated by `RTLFIXER_SIM_LANES`.
-pub fn run_testbench_seeds(
-    analysis: &Analysis,
-    top: &str,
-    models: &mut [Box<dyn ReferenceModel + '_>],
-    stimuli: &[Vec<BTreeMap<String, LogicVec>>],
-    clocking: &Clocking,
-) -> Vec<Result<TestResult, TestbenchError>> {
-    run_testbench_seeds_with_stats(analysis, top, models, stimuli, clocking).0
-}
-
-/// [`run_testbench_seeds`], additionally returning aggregated
-/// [`LaneStats`] (packed occupancy, peels, bails) across every lane group
-/// — the observability hook benchmarks and experiments report from.
-pub fn run_testbench_seeds_with_stats(
-    analysis: &Analysis,
-    top: &str,
-    models: &mut [Box<dyn ReferenceModel + '_>],
-    stimuli: &[Vec<BTreeMap<String, LogicVec>>],
-    clocking: &Clocking,
-) -> (Vec<Result<TestResult, TestbenchError>>, LaneStats) {
-    assert_eq!(models.len(), stimuli.len(), "one model per stimulus lane");
-    let mut results = Vec::with_capacity(models.len());
-    let mut stats = LaneStats::default();
-    let mut start = 0usize;
-    while start < models.len() {
-        let end = (start + 64).min(models.len());
-        let lanes = &stimuli[start..end];
-        let models = &mut models[start..end];
-        let (chunk, chunk_stats) = run_seed_chunk(analysis, top, models, lanes, clocking);
-        results.extend(chunk);
-        stats.absorb(&chunk_stats);
-        start = end;
-    }
-    (results, stats)
-}
-
-/// One ≤64-lane chunk of [`run_testbench_seeds`]: packed when the design
-/// and chunk qualify, otherwise a scalar loop.
-fn run_seed_chunk(
-    analysis: &Analysis,
-    top: &str,
-    models: &mut [Box<dyn ReferenceModel + '_>],
-    stimuli: &[Vec<BTreeMap<String, LogicVec>>],
-    clocking: &Clocking,
-) -> (Vec<Result<TestResult, TestbenchError>>, LaneStats) {
-    let k = models.len();
-    let cycles = stimuli.first().map_or(0, Vec::len);
-    let uniform = stimuli.iter().all(|s| s.len() == cycles);
-    let runner = if uniform && cycles > 0 {
-        crate::lanes::LaneRunner::try_new(analysis, top, k)
-    } else {
-        None
-    };
-    let Some(mut runner) = runner else {
-        // Scalar fallback: per-lane solo runs (the packed path is defined
-        // as bit-identical to exactly this). Every step still counts in
-        // the stats so occupancy reflects work the packed engine skipped.
-        let results = models
-            .iter_mut()
-            .zip(stimuli)
-            .map(|(model, stim)| run_testbench(analysis, top, model.as_mut(), stim, clocking))
-            .collect();
-        let stats = LaneStats {
-            lane_steps: stimuli.iter().map(|s| s.len() as u64).sum(),
-            ..LaneStats::default()
-        };
-        return (results, stats);
-    };
-    let _simulate_span = rtlfixer_obs::span(rtlfixer_obs::kind::SIMULATE);
-    for model in models.iter_mut() {
-        model.reset();
-    }
-    let output_ports: Vec<(String, u32)> = runner
-        .design()
-        .outputs
-        .iter()
-        .map(|p| (p.name.clone(), p.width))
-        .collect();
-    let action = match clocking {
-        Clocking::Combinational => crate::lanes::LaneAction::Settle,
-        Clocking::Sequential { clock } => crate::lanes::LaneAction::Clock(clock),
-    };
-    // Per-lane accumulators; a lane that hits a SimError stops stepping
-    // its model from that cycle on, like a solo run returning early.
-    let mut mismatch_count = vec![0usize; k];
-    let mut first_mismatch: Vec<Option<Mismatch>> = vec![None; k];
-    let mut dead = vec![false; k];
-    // Reused per-cycle scratch: one poke's per-lane values, and the
-    // ragged-frame name union.
-    let mut values: Vec<Option<&LogicVec>> = Vec::with_capacity(k);
-    let mut names: Vec<&String> = Vec::new();
-    let mut iters: Vec<std::collections::btree_map::Iter<'_, String, LogicVec>> =
-        Vec::with_capacity(k);
-    for cycle in 0..cycles {
-        runner.begin_cycle();
-        // Fast path: every lane's frame carries the same port set (the
-        // common case — generated stimulus drives identical ports every
-        // cycle), so the k sorted maps are walked in lockstep with no
-        // union building and no per-name tree lookups. Raggedness is
-        // detected on the fly: a key mismatch or early exhaustion falls
-        // back to the union walk below.
-        iters.clear();
-        iters.extend(stimuli.iter().map(|s| s[cycle].iter()));
-        let (first, rest) = iters.split_first_mut().expect("at least one lane");
-        let lockstep = 'frame: loop {
-            values.clear();
-            let Some((name, v0)) = first.next() else {
-                break 'frame rest.iter_mut().all(|it| it.next().is_none());
-            };
-            values.push(Some(v0));
-            for it in rest.iter_mut() {
-                match it.next() {
-                    Some((n, v)) if n == name => values.push(Some(v)),
-                    _ => break 'frame false,
-                }
-            }
-            runner.poke(name, &values);
-        };
-        if !lockstep {
-            // Ragged frames: poke the sorted union of names with per-lane
-            // lookups. Any pokes the aborted lockstep walk already applied
-            // are repeated here with identical values, which is a no-op.
-            names.clear();
-            names.extend(stimuli.iter().flat_map(|s| s[cycle].keys()));
-            names.sort();
-            names.dedup();
-            for name in &names {
-                values.clear();
-                values.extend(stimuli.iter().map(|s| s[cycle].get(*name)));
-                runner.poke(name, &values);
-            }
-        }
-        runner.step(action);
-        for (lane, model) in models.iter_mut().enumerate() {
-            if dead[lane] {
-                continue;
-            }
-            if runner.error(lane).is_some() {
-                dead[lane] = true;
-                continue;
-            }
-            let expected = model.step(&stimuli[lane][cycle]);
-            for (port, width) in &output_ports {
-                let Some(want) = expected.get(port) else { continue };
-                let got = runner.peek(port, lane).unwrap_or_else(|| LogicVec::xs(*width));
-                if got.eq_case(&want.resize(*width)).to_u64() != Some(1) {
-                    mismatch_count[lane] += 1;
-                    if first_mismatch[lane].is_none() {
-                        first_mismatch[lane] = Some(Mismatch {
-                            cycle,
-                            port: port.clone(),
-                            got: got.clone(),
-                            want: want.clone(),
-                        });
-                    }
-                }
-            }
-        }
-    }
-    let stats = runner.stats();
-    rtlfixer_obs::counter_add("sim.lane_steps", stats.lane_steps);
-    rtlfixer_obs::counter_add("sim.lane_packed_steps", stats.packed_lane_steps);
-    rtlfixer_obs::counter_add("sim.lane_peels", stats.peels);
-    rtlfixer_obs::counter_add("sim.lane_bails", stats.bails);
-    let results = (0..k)
-        .map(|lane| match runner.error(lane) {
-            Some(e) => Err(TestbenchError::Sim(e.clone())),
-            None => Ok(TestResult {
-                passed: mismatch_count[lane] == 0,
-                cycles,
-                mismatch_count: mismatch_count[lane],
-                first_mismatch: first_mismatch[lane].clone(),
-            }),
-        })
-        .collect();
-    (results, stats)
 }
 
 /// A tiny deterministic PRNG (xorshift64*) for stimulus generation, so the
