@@ -21,7 +21,11 @@
 //!   stay realistic without slowing evaluation down.
 //! * **Registry** — named [counters](counter_add), [gauges](gauge_set) and
 //!   fixed-bucket (log₂) [histograms](observe), snapshotted with
-//!   [`snapshot`] and summarised with [`Histogram::percentile`].
+//!   [`snapshot`] and summarised with [`Histogram::percentile`]. The
+//!   simulator counts `sim.cycles`, `sim.settle_sweeps`,
+//!   `sim.tape_fast_hits`, `sim.tape_fast_fallbacks` and
+//!   `sim.loop_fast_forwards` (runaway loops the fast tape skipped to the
+//!   loop cap once their state repeated).
 //! * **JSONL sink** — `RTLFIXER_TRACE=<path>` (mirroring the
 //!   `RTLFIXER_CACHE` / `RTLFIXER_FAULTS` env conventions: unset, `0`,
 //!   `off`, `false` or `no` disable it) streams one JSON object per line:

@@ -24,6 +24,9 @@ pub const REJECT_QUOTA: &str = "quota-exceeded";
 pub const REJECT_DRAINING: &str = "draining";
 /// Rejection reason: the request is malformed.
 pub const REJECT_BAD_REQUEST: &str = "bad-request";
+/// Rejection reason: the daemon already serves its maximum number of
+/// connections; this one is closed after the line.
+pub const REJECT_TOO_MANY_CONNECTIONS: &str = "too-many-connections";
 /// Shed reason: the request's deadline passed while it waited in queue.
 pub const SHED_DEADLINE: &str = "deadline-exceeded";
 

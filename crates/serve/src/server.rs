@@ -8,7 +8,8 @@
 //!   `draining` reject instead of a connection refusal;
 //! * per connection, a **reader** thread (parses request lines, runs
 //!   admission) and a **writer** thread (owns the socket's write half,
-//!   fed over a channel — workers fan results out by sending into it);
+//!   fed over a channel — workers fan results out by sending into it),
+//!   for at most [`MAX_CONNECTIONS`] connections at once;
 //! * `workers` **worker** threads looping
 //!   `dequeue → shed-if-expired → execute under catch_unwind → fan out`.
 //!
@@ -20,7 +21,7 @@ use std::io::Write;
 use std::io::{BufRead, BufReader, Read};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
@@ -34,13 +35,19 @@ use rtlfixer_rag::DistilledStore;
 use crate::admission::{Admission, Admit, QueuedJob, QuotaSpec, Waiter};
 use crate::protocol::{
     accepted_line, error_line, outcome_lines, pong_line, rejected_line, shed_line,
-    shutdown_ack_line, JobSpec, Request, REJECT_BAD_REQUEST, REJECT_QUEUE_FULL, SHED_DEADLINE,
+    shutdown_ack_line, JobSpec, Request, REJECT_BAD_REQUEST, REJECT_QUEUE_FULL,
+    REJECT_TOO_MANY_CONNECTIONS, SHED_DEADLINE,
 };
 
 /// Longest request line the daemon reads, newline excluded. A longer line
 /// gets a `bad-request` rejection and its connection is closed, so no
 /// client can make a reader buffer more than this.
 pub const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// Most connections served at once; each costs a reader and a writer
+/// thread. A connection over the cap gets one `too-many-connections`
+/// rejection and is closed; a slot frees when its reader thread ends.
+pub const MAX_CONNECTIONS: usize = 256;
 
 /// Daemon configuration; [`ServeConfig::from_env`] reads the
 /// `RTLFIXER_SERVE_*` environment, CLI flags override on top.
@@ -219,23 +226,53 @@ impl Daemon {
     }
 }
 
+/// One connection's claim on a [`MAX_CONNECTIONS`] slot, released when
+/// its reader thread ends (or when the thread fails to spawn).
+struct Slot(Arc<AtomicUsize>);
+
+impl Drop for Slot {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
 fn accept_loop(
     listener: &TcpListener,
     admission: &Arc<Admission>,
     stop: &AtomicBool,
     default_deadline_ms: Option<u64>,
 ) {
+    // Only this thread takes slots, so checking then taking cannot
+    // overshoot the cap. The count guards no other data: relaxed suffices.
+    let live = Arc::new(AtomicUsize::new(0));
     while !stop.load(Ordering::Relaxed) {
         match listener.accept() {
             Ok((stream, _peer)) => {
+                if live.load(Ordering::Relaxed) >= MAX_CONNECTIONS {
+                    refuse_connection(stream);
+                    continue;
+                }
+                live.fetch_add(1, Ordering::Relaxed);
+                let slot = Slot(Arc::clone(&live));
                 let admission = Arc::clone(admission);
-                let _ = thread::Builder::new()
-                    .name("serve-conn".to_owned())
-                    .spawn(move || handle_connection(stream, &admission, default_deadline_ms));
+                let _ = thread::Builder::new().name("serve-conn".to_owned()).spawn(move || {
+                    let _slot = slot;
+                    handle_connection(stream, &admission, default_deadline_ms);
+                });
             }
             Err(_would_block_or_transient) => thread::sleep(Duration::from_millis(2)),
         }
     }
+}
+
+/// Answers a connection over the cap with one `rejected` line and closes
+/// it. The accept thread writes it: a fresh socket's send buffer takes
+/// one short line without blocking.
+fn refuse_connection(mut stream: TcpStream) {
+    obs::counter_add("serve.rejected.connections", 1);
+    let detail = format!("{MAX_CONNECTIONS} connections already open");
+    let _ = write_lines(&mut stream, &[rejected_line(REJECT_TOO_MANY_CONNECTIONS, &detail)]);
+    let _ = stream.shutdown(Shutdown::Both);
 }
 
 fn handle_connection(

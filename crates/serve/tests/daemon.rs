@@ -6,11 +6,11 @@
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::{Mutex, MutexGuard};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use serde::Deserialize;
 
-use rtlfixer_serve::server::MAX_LINE_BYTES;
+use rtlfixer_serve::server::{MAX_CONNECTIONS, MAX_LINE_BYTES};
 use rtlfixer_serve::{Daemon, ServeConfig};
 
 /// The missing-`clk` archetype the episode-path tests use: broken as
@@ -376,5 +376,49 @@ fn over_long_line_gets_bad_request_and_its_connection_closes() {
     let mut fresh = Client::connect(daemon.port());
     fresh.send("{\"op\":\"ping\"}");
     assert_eq!(fresh.recv().1.ev, "pong");
+    daemon.drain();
+}
+
+#[test]
+fn connections_over_the_cap_are_refused_until_a_slot_frees() {
+    let _guard = setup();
+    let refused = || rtlfixer_obs::snapshot().counters.get("serve.rejected.connections").copied();
+    let refused_before = refused().unwrap_or(0);
+    let daemon = Daemon::start(config(1, 16, 0)).expect("daemon starts");
+    // A pong on each shows the daemon holds a slot for it.
+    let mut open: Vec<Client> = (0..MAX_CONNECTIONS)
+        .map(|_| {
+            let mut client = Client::connect(daemon.port());
+            client.send("{\"op\":\"ping\"}");
+            assert_eq!(client.recv().1.ev, "pong");
+            client
+        })
+        .collect();
+    let mut over = Client::connect(daemon.port());
+    let (_, event) = over.recv();
+    assert_eq!(event.ev, "rejected");
+    assert_eq!(event.reason.as_deref(), Some("too-many-connections"));
+    let mut rest = String::new();
+    let n = over.reader.read_line(&mut rest).expect("read after reject");
+    assert_eq!(n, 0, "the refused connection must close, got `{rest}`");
+    assert_eq!(refused(), Some(refused_before + 1));
+    // The open connections are still served.
+    let last = open.last_mut().expect("open connections");
+    last.send("{\"op\":\"ping\"}");
+    assert_eq!(last.recv().1.ev, "pong");
+    // Hanging up one frees its slot once its reader sees the hang-up.
+    drop(open.pop());
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let mut fresh = Client::connect(daemon.port());
+        let _ = writeln!(fresh.writer, "{{\"op\":\"ping\"}}");
+        let mut line = String::new();
+        if fresh.reader.read_line(&mut line).is_ok() && line.contains("\"pong\"") {
+            break;
+        }
+        assert!(Instant::now() < deadline, "no slot freed after a hang-up: `{line}`");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    drop(open);
     daemon.drain();
 }

@@ -14,6 +14,10 @@
 //! returns `false` strictly before any state mutation, and the caller
 //! re-runs the four-state ops. Where the tree instead *drops* a write
 //! (`to_u64`-guarded store indices), the fast path drops it too.
+//!
+//! Runaway loops are fast-forwarded: a loop that never exits on its own
+//! condition runs to the `MAX_LOOP` cap, and once its back-edge state
+//! repeats, whole periods of it are skipped (see [`probe_loop`]).
 
 use rtlfixer_verilog::const_eval::clog2;
 
@@ -117,6 +121,90 @@ fn commit_cone<const L: usize>(
     }
 }
 
+/// Back-edge count at which a loop instance starts to be probed for a
+/// repeating state. Loops that end on their own condition stay below it
+/// (the longest in the corpus runs 100 trips), so they never pay for a
+/// probe.
+const PROBE_TRIPS: u64 = 1024;
+
+/// Brent cycle detection for the current instance of one loop (keyed by
+/// its counter). The snapshot is the fast tape's whole execution state at
+/// the loop's back edge when the counter read `at`.
+#[derive(Default)]
+struct LoopProbe {
+    ctr: usize,
+    at: u64,
+    /// Trips after `at` before the snapshot moves forward (a power of two).
+    power: u64,
+    regs: Vec<u64>,
+    ctrs: Vec<u64>,
+    sticky: u64,
+    nba: usize,
+}
+
+/// Probes the loop whose counter `ctr` has just reached `PROBE_TRIPS` or
+/// more while staying below `limit`, i.e. the back edge is taken.
+///
+/// The fast tape reads real state only in `load_cone` and buffers every
+/// write (cone shadows, `sticky`, `fnba`) until `commit_cone`, so the
+/// registers, the other counters, `sticky` and `fnba.len()` determine the
+/// rest of the run; this loop's own counter is read only by this back edge.
+/// When that state repeats after λ trips, every later trip replays the same
+/// period with the loop condition true, so the loop can only end at the
+/// cap. The counter then advances by the largest multiple of λ that keeps
+/// it below `limit`, and the remaining trips (at most λ) run normally. A
+/// loop that queues deferred NBA writes grows `fnba`, so its state never
+/// repeats and it is never skipped.
+#[cold]
+#[inline(never)]
+fn probe_loop(
+    probes: &mut Vec<LoopProbe>,
+    ctr: usize,
+    limit: u64,
+    fregs: &[u64],
+    fctrs: &mut [u64],
+    sticky: u64,
+    nba: usize,
+) {
+    let n = fctrs[ctr];
+    let i = probes.iter().position(|p| p.ctr == ctr).unwrap_or_else(|| {
+        probes.push(LoopProbe { ctr, ..LoopProbe::default() });
+        probes.len() - 1
+    });
+    let p = &mut probes[i];
+    // Every instance counts up from zero, so it reaches `PROBE_TRIPS`
+    // exactly once: that is where a snapshot of an earlier instance of the
+    // same loop is discarded (a new probe has `power` 0).
+    let restart = n == PROBE_TRIPS || p.power == 0;
+    if !restart {
+        let lam = n - p.at;
+        let same = p.sticky == sticky
+            && p.nba == nba
+            && p.regs == fregs
+            && p.ctrs[..ctr] == fctrs[..ctr]
+            && p.ctrs[ctr + 1..] == fctrs[ctr + 1..];
+        if same {
+            let skip = (limit - 1 - n) / lam * lam;
+            if skip > 0 {
+                fctrs[ctr] = n + skip;
+                rtlfixer_obs::counter_add("sim.loop_fast_forwards", 1);
+            }
+            return;
+        }
+        if lam < p.power {
+            return;
+        }
+    }
+    p.at = n;
+    p.power = if restart { 1 } else { p.power * 2 };
+    p.regs.clear();
+    p.regs.extend_from_slice(fregs);
+    p.ctrs.clear();
+    p.ctrs.extend_from_slice(fctrs);
+    p.sticky = sticky;
+    p.nba = nba;
+}
+
 /// Executes a two-state fast tape over `L`-limb registers. Returns
 /// `false` — strictly before any real state mutation — when the input
 /// cone holds x/z or an op would produce it; the caller then re-runs the
@@ -152,6 +240,7 @@ pub(crate) fn run_fast_tape<const L: usize>(
     // Bit i set: cone signal i was written with a differing value at some
     // point (change-then-revert still dirties, like repeated `set_state`).
     let mut sticky: u64 = 0;
+    let mut probes: Vec<LoopProbe> = Vec::new();
     let ops = &fast.ops;
     let mut pc = 0usize;
     while pc < ops.len() {
@@ -450,8 +539,12 @@ pub(crate) fn run_fast_tape<const L: usize>(
             }
             FOp::ZeroCtr { ctr } => fctrs[*ctr as usize] = 0,
             FOp::IncCtrJumpLt { ctr, limit, to } => {
-                fctrs[*ctr as usize] += 1;
-                if fctrs[*ctr as usize] < u64::from(*limit) {
+                let c = *ctr as usize;
+                fctrs[c] += 1;
+                if fctrs[c] < u64::from(*limit) {
+                    if fctrs[c] >= PROBE_TRIPS {
+                        probe_loop(&mut probes, c, u64::from(*limit), fregs, fctrs, sticky, fnba.len());
+                    }
                     pc = *to as usize;
                     continue;
                 }
