@@ -302,10 +302,10 @@ impl<L: LanguageModel> RtlFixer<L> {
     /// Runs one fixing episode over `source` for `problem`.
     pub fn fix_problem(&mut self, problem: &str, source: &str) -> FixOutcome {
         let _episode_span = obs::span(obs::kind::EPISODE);
-        // Per-category episode-duration histograms (the episode scheduler's
-        // cost model reads these back via `obs::span_summaries`); the
-        // categories are only known after the initial compile, so the span
-        // guard can't carry them — time the episode body explicitly.
+        // Per-category episode-duration histograms (the `--telemetry`
+        // span block reports them); the categories are only known after
+        // the initial compile, so the span guard can't carry them — time
+        // the episode body explicitly.
         let episode_start = _episode_span.is_recording().then(std::time::Instant::now);
         obs::counter_add("agent.episodes", 1);
         let mut code =

@@ -15,15 +15,13 @@ fn main() {
     };
     eprintln!("Figure 4: outcome shares before/after fixing");
     let mut rows = Vec::new();
-    let mut episodes = 0usize;
-    let mut seconds = 0.0f64;
+    let mut stats = rtlfixer_eval::RunStats::new(0, std::time::Duration::ZERO);
     for (label, problems) in [
         ("Human", rtlfixer_dataset::verilog_eval_human()),
         ("Machine", rtlfixer_dataset::verilog_eval_machine()),
     ] {
         let evaluation = evaluate_suite(label, &problems, &config);
-        episodes += evaluation.stats.episodes;
-        seconds += evaluation.stats.seconds;
+        stats.accumulate(&evaluation.stats);
         for (ring, shares) in [
             ("prior (inner)", evaluation.shares_original),
             ("post (outer)", evaluation.shares_fixed),
@@ -42,12 +40,5 @@ fn main() {
         render_table(&["Suite", "Ring", "pass", "syntax error", "sim error"], &rows)
     );
     println!("Paper (Human): pass rises 0.267 -> 0.368 purely from syntax fixing.");
-    let stats = rtlfixer_eval::RunStats {
-        episodes,
-        seconds,
-        episodes_per_sec: if seconds > 0.0 { episodes as f64 / seconds } else { 0.0 },
-        failed_episodes: 0,
-        scheduler: None,
-    };
     record_run("figure4", scale.jobs, &stats);
 }

@@ -45,15 +45,10 @@ fn main() {
         );
     }
 
-    let episodes: usize = points.iter().map(|p| p.stats.episodes).sum();
-    let seconds: f64 = points.iter().map(|p| p.stats.seconds).sum();
-    let stats = rtlfixer_eval::RunStats {
-        episodes,
-        seconds,
-        episodes_per_sec: if seconds > 0.0 { episodes as f64 / seconds } else { 0.0 },
-        failed_episodes: 0,
-        scheduler: None,
-    };
+    let mut stats = rtlfixer_eval::RunStats::new(0, std::time::Duration::ZERO);
+    for point in &points {
+        stats.accumulate(&point.stats);
+    }
     record_run_with(
         "table_learning",
         scale.jobs,

@@ -23,7 +23,6 @@
 
 #![warn(missing_docs)]
 
-pub mod shards;
 pub mod simdesigns;
 
 /// Formats a ratio with three decimals (`0.985`).
@@ -79,24 +78,15 @@ pub struct RunScale {
     /// Telemetry is out-of-band: measured results are bit-identical with
     /// the flag on or off.
     pub telemetry: bool,
-    /// Deterministic grid partition to run (`--shard i/n`): execute only
-    /// the stripe of spec indices with `index % n == i` and write the raw
-    /// verdicts as a fragment under `<results_dir>/shards/` instead of a
-    /// full run. `None` = the whole grid.
-    pub shard: Option<rtlfixer_eval::Shard>,
-    /// The `merge-shards <n>` subcommand: skip execution, read the `n`
-    /// fragments back and reassemble output byte-identical to an unsharded
-    /// run.
-    pub merge_shards: Option<usize>,
 }
 
 impl RunScale {
-    /// Reads `--quick`, `--jobs N` (or `--jobs=N`), `--telemetry`,
-    /// `--shard i/n` and the `merge-shards <n>` subcommand from the
-    /// process arguments, and switches the process-wide telemetry registry
-    /// on when `--telemetry` is present. `--jobs` defaults to `0`, meaning
-    /// "use the machine's available parallelism". Invalid shard arguments
-    /// exit with status 2 and a message on stderr.
+    /// Reads `--quick`, `--jobs N` (or `--jobs=N`) and `--telemetry` from
+    /// the process arguments, and switches the process-wide telemetry
+    /// registry on when `--telemetry` is present. `--jobs` defaults to `0`,
+    /// meaning "use the machine's available parallelism". Unknown
+    /// arguments and unparsable `--jobs` values exit with status 2 and a
+    /// message on stderr.
     pub fn from_args() -> Self {
         let scale = Self::parse_args(std::env::args().skip(1)).unwrap_or_else(|message| {
             eprintln!("error: {message}");
@@ -111,8 +101,10 @@ impl RunScale {
     /// Argument parsing, separated from `std::env` (and from the
     /// process-wide telemetry switch) for testability.
     pub fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Self, String> {
-        let mut scale =
-            RunScale { quick: false, jobs: 0, telemetry: false, shard: None, merge_shards: None };
+        let jobs = |value: &str| {
+            value.parse().map_err(|_| format!("--jobs expects a worker count, got `{value}`"))
+        };
+        let mut scale = RunScale { quick: false, jobs: 0, telemetry: false };
         let mut args = args.into_iter();
         while let Some(arg) = args.next() {
             if arg == "--quick" {
@@ -120,39 +112,17 @@ impl RunScale {
             } else if arg == "--telemetry" {
                 scale.telemetry = true;
             } else if arg == "--jobs" {
-                if let Some(value) = args.next() {
-                    scale.jobs = value.parse().unwrap_or(0);
-                }
+                scale.jobs = jobs(&args.next().ok_or("--jobs expects a worker count")?)?;
             } else if let Some(value) = arg.strip_prefix("--jobs=") {
-                scale.jobs = value.parse().unwrap_or(0);
-            } else if arg == "--shard" {
-                let value = args.next().ok_or("--shard expects i/n (e.g. 0/2)")?;
-                scale.shard = Some(rtlfixer_eval::Shard::parse(&value)?);
-            } else if let Some(value) = arg.strip_prefix("--shard=") {
-                scale.shard = Some(rtlfixer_eval::Shard::parse(value)?);
-            } else if arg == "merge-shards" {
-                let value = args.next().ok_or("merge-shards expects a shard count")?;
-                let count: usize = value
-                    .parse()
-                    .map_err(|_| format!("merge-shards count is not a number: `{value}`"))?;
-                if count == 0 {
-                    return Err("merge-shards expects a shard count >= 1".to_owned());
-                }
-                scale.merge_shards = Some(count);
+                scale.jobs = jobs(value)?;
+            } else {
+                return Err(format!(
+                    "unknown argument `{arg}` (expected --quick, --jobs N, --telemetry)"
+                ));
             }
-        }
-        if scale.shard.is_some() && scale.merge_shards.is_some() {
-            return Err("--shard and merge-shards are mutually exclusive".to_owned());
         }
         Ok(scale)
     }
-}
-
-/// Exits with status 1 after printing a merge/fragment error — the shared
-/// failure path of the binaries' `merge-shards` mode.
-pub fn die(message: String) -> ! {
-    eprintln!("error: {message}");
-    std::process::exit(1);
 }
 
 /// Renders the telemetry registry snapshot as the `"telemetry"` block of
@@ -253,10 +223,8 @@ pub fn record_run_with(
         "caches": caches,
         "faults": faults,
     });
-    // Scheduler metadata: the run's own stats if it went through the
-    // planner, else the process-wide report (experiments that fold cells
-    // publish their merged stats there).
-    if let Some(scheduler) = stats.scheduler.or_else(rtlfixer_eval::scheduler_report) {
+    // Scheduler metadata, for runs that went through the planner.
+    if let Some(scheduler) = stats.scheduler {
         if let Some(mut map) = entry.as_object_mut() {
             map.insert("scheduler".to_owned(), serde_json::Value::from_serialize(&scheduler));
         }
@@ -314,8 +282,18 @@ mod tests {
         assert_eq!(scale.jobs, 2);
         let scale = RunScale::parse_args(args(&[])).unwrap();
         assert_eq!(scale.jobs, 0);
-        assert_eq!(scale.shard, None);
-        assert_eq!(scale.merge_shards, None);
+        // Unknown arguments and unparsable or missing worker counts are
+        // errors, not defaults: a mistyped flag must not launch a full run.
+        for (bad, needle) in [
+            (&["--bogus-flag"][..], "unknown argument `--bogus-flag`"),
+            (&["--quick", "subcommand", "2"], "unknown argument `subcommand`"),
+            (&["--quick", "--jobs", "abc"], "got `abc`"),
+            (&["--jobs=-1"], "got `-1`"),
+            (&["--jobs"], "expects a worker count"),
+        ] {
+            let err = RunScale::parse_args(args(bad)).unwrap_err();
+            assert!(err.contains(needle), "{bad:?}: {err}");
+        }
     }
 
     #[test]
@@ -325,25 +303,5 @@ mod tests {
         let scale = RunScale::parse_args(["--telemetry".to_owned()]).unwrap();
         assert!(scale.telemetry);
         assert!(!rtlfixer_obs::telemetry_enabled());
-    }
-
-    #[test]
-    fn run_scale_parses_shard_and_merge() {
-        let args = |list: &[&str]| list.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        let scale = RunScale::parse_args(args(&["--shard", "1/4", "--quick"])).unwrap();
-        assert_eq!(scale.shard, Some(rtlfixer_eval::Shard { index: 1, count: 4 }));
-        let scale = RunScale::parse_args(args(&["--shard=0/2"])).unwrap();
-        assert_eq!(scale.shard, Some(rtlfixer_eval::Shard { index: 0, count: 2 }));
-        let scale = RunScale::parse_args(args(&["merge-shards", "2"])).unwrap();
-        assert_eq!(scale.merge_shards, Some(2));
-        // Rejections: i >= n, n = 0, malformed, zero merge count, both modes.
-        for bad in
-            [&["--shard", "2/2"][..], &["--shard", "0/0"], &["--shard", "x"], &["--shard"]]
-        {
-            assert!(RunScale::parse_args(args(bad)).is_err(), "{bad:?}");
-        }
-        assert!(RunScale::parse_args(args(&["merge-shards", "0"])).is_err());
-        assert!(RunScale::parse_args(args(&["merge-shards", "x"])).is_err());
-        assert!(RunScale::parse_args(args(&["--shard", "0/2", "merge-shards", "2"])).is_err());
     }
 }

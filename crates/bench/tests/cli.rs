@@ -40,13 +40,39 @@ fn table1_quick_parallel_smoke() {
         entry["caches"]["outcomes"]["misses"].as_u64().unwrap_or(0) > 0,
         "cache counters missing: {text}"
     );
-    // ... and the scheduler metadata (default policy is LPT with
-    // fingerprint batching, so repeats coalesce into shared batches).
+    // ... and the scheduler metadata: fingerprint batching folds each
+    // entry's 3 repeats into one batch, so the 14 cells × 40 entries × 3
+    // repeats form 560 batches with 1,120 episodes coalesced.
     let scheduler = &entry["scheduler"];
-    assert_eq!(rtlfixer_bench::shards::as_str(&scheduler["policy"]), Some("lpt"), "{text}");
-    assert!(scheduler["batches"].as_u64().unwrap_or(0) > 0, "{text}");
-    assert!(scheduler["coalesced"].as_u64().unwrap_or(0) > 0, "{text}");
-    assert!(scheduler["rank_correlation"].as_f64().is_some(), "{text}");
+    assert_eq!(scheduler["batches"].as_u64(), Some(560), "{text}");
+    assert_eq!(scheduler["coalesced"].as_u64(), Some(1_120), "{text}");
+}
+
+#[test]
+fn figure4_quick_records_both_suites_scheduler_stats() {
+    let results_dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("cli_figure4_results");
+    let _ = std::fs::remove_dir_all(&results_dir);
+
+    let output = Command::new(env!("CARGO_BIN_EXE_figure4"))
+        .args(["--quick", "--jobs", "2"])
+        .env_remove("RTLFIXER_FAULTS")
+        .env_remove("RTLFIXER_TRACE")
+        .env("RTLFIXER_RESULTS_DIR", &results_dir)
+        .output()
+        .expect("figure4 binary runs");
+    assert!(
+        output.status.success(),
+        "figure4 --quick failed:\n{}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    let text = std::fs::read_to_string(results_dir.join("bench_eval.json"))
+        .expect("bench_eval.json written");
+    let json: serde_json::Value = serde_json::from_str(&text).expect("valid JSON");
+    let entry = &json["figure4"];
+    // Two suites × 30 quick problems × 8 samples, and one batch per
+    // problem: the record must cover both suites, not only the last.
+    assert_eq!(entry["episodes"].as_u64(), Some(480), "{text}");
+    assert_eq!(entry["scheduler"]["batches"].as_u64(), Some(60), "{text}");
 }
 
 /// The scientific outputs of a `table1` run under the given environment:
@@ -338,26 +364,6 @@ fn simbench_quick_smoke_records_throughput() {
 }
 
 #[test]
-fn sched_kill_switch_is_bit_identical_to_unset() {
-    let results_dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("cli_sched_off_results");
-    let _ = std::fs::remove_dir_all(&results_dir);
-
-    // RTLFIXER_SCHED unset runs the LPT plan; every spelling of "off" and
-    // `grid` select grid order (no reordering, no batching), and both must
-    // agree with the default bit-for-bit — scheduling only moves
-    // wall-clock, never verdicts. This is the subprocess complement of the
-    // in-process policy matrix in `sched_invariance.rs`.
-    let unset = table1_fix_rates_with("4", &results_dir, &[]);
-    for spec in ["off", "0", "false", "grid", "lpt"] {
-        assert_eq!(
-            table1_fix_rates_with("4", &results_dir, &[("RTLFIXER_SCHED", spec)]),
-            unset,
-            "fix rates diverged at RTLFIXER_SCHED={spec}"
-        );
-    }
-}
-
-#[test]
 fn rag_distill_spellings_are_bit_identical_on_batch_grids() {
     let results_dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("cli_rag_distill_results");
     let _ = std::fs::remove_dir_all(&results_dir);
@@ -435,109 +441,21 @@ fn table_learning_quick_smoke_records_curve() {
     );
 }
 
-/// Runs the table1 binary with raw args and returns (status ok, stdout,
-/// stderr) without asserting success — shard-validation tests need the
-/// failure paths.
-fn table1_raw(args: &[&str], results_dir: &Path) -> (bool, String, String) {
+#[test]
+fn unknown_bench_arguments_exit_2_without_running() {
+    let results_dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("cli_bad_args_results");
+    let _ = std::fs::remove_dir_all(&results_dir);
+
     let output = Command::new(env!("CARGO_BIN_EXE_table1"))
-        .args(args)
-        .env_remove("RTLFIXER_FAULTS")
-        .env_remove("RTLFIXER_TRACE")
-        .env("RTLFIXER_RESULTS_DIR", results_dir)
+        .args(["--quick", "--bogus-flag", "--jobs", "abc"])
+        .env("RTLFIXER_RESULTS_DIR", &results_dir)
         .output()
         .expect("table1 binary runs");
-    (
-        output.status.success(),
-        String::from_utf8_lossy(&output.stdout).into_owned(),
-        String::from_utf8_lossy(&output.stderr).into_owned(),
-    )
-}
-
-#[test]
-fn shard_flag_rejects_malformed_specs() {
-    let results_dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("cli_shard_args_results");
-    let _ = std::fs::remove_dir_all(&results_dir);
-
-    for (args, needle) in [
-        // Index must be strictly below the count.
-        (&["--quick", "--shard", "2/2"][..], "must be <"),
-        (&["--quick", "--shard", "5/2"][..], "must be <"),
-        // Zero shards is meaningless.
-        (&["--quick", "--shard", "0/0"][..], ">= 1"),
-        // Malformed spellings.
-        (&["--quick", "--shard", "1"][..], "i/n"),
-        (&["--quick", "--shard", "a/b"][..], "not a number"),
-        // merge-shards needs a positive count.
-        (&["--quick", "merge-shards", "0"][..], ">= 1"),
-        (&["--quick", "merge-shards", "x"][..], "count"),
-        // Producing and consuming fragments in one invocation is a
-        // contradiction.
-        (&["--quick", "--shard", "0/2", "merge-shards", "2"][..], "mutually exclusive"),
-    ] {
-        let (ok, _, stderr) = table1_raw(args, &results_dir);
-        assert!(!ok, "{args:?} unexpectedly succeeded");
-        assert!(stderr.contains(needle), "{args:?} stderr missing `{needle}`:\n{stderr}");
-    }
-}
-
-#[test]
-fn sharded_merge_is_byte_identical_to_unsharded() {
-    let results_dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("cli_shard_merge_results");
-    let _ = std::fs::remove_dir_all(&results_dir);
-    std::fs::create_dir_all(&results_dir).expect("results dir");
-
-    // The scientific outputs of a run: fix-rate lines plus the verdict
-    // fingerprint (wall-clock fields are the only legitimate difference).
-    let science = |stdout: &str| -> Vec<String> {
-        stdout
-            .lines()
-            .filter(|l| l.contains("\"fix_rate\"") || l.contains("verdict_fingerprint"))
-            .map(str::to_owned)
-            .collect()
-    };
-
-    let (ok, reference_out, stderr) = table1_raw(&["--quick", "--jobs", "2"], &results_dir);
-    assert!(ok, "unsharded run failed:\n{stderr}");
-    let reference = science(&reference_out);
-    assert_eq!(reference.len(), 15, "14 fix rates + 1 fingerprint:\n{reference_out}");
-
-    // An incomplete fragment set is rejected, not silently merged.
-    let (ok, _, stderr) =
-        table1_raw(&["--quick", "--shard", "0/2", "--jobs", "2"], &results_dir);
-    assert!(ok, "shard 0/2 failed:\n{stderr}");
-    let (ok, _, stderr) = table1_raw(&["--quick", "merge-shards", "2"], &results_dir);
-    assert!(!ok, "merge accepted an incomplete fragment set");
-    assert!(stderr.contains("missing fragment"), "{stderr}");
-
-    let (ok, _, stderr) =
-        table1_raw(&["--quick", "--shard", "1/2", "--jobs", "2"], &results_dir);
-    assert!(ok, "shard 1/2 failed:\n{stderr}");
-
-    // A fragment copied over another's name (overlapping coverage) is
-    // rejected by its recorded coordinates.
-    let shards_dir = results_dir.join("shards");
-    let shard0 = shards_dir.join("table1.shard0of2.json");
-    let shard1 = shards_dir.join("table1.shard1of2.json");
-    let shard1_bytes = std::fs::read(&shard1).expect("shard 1 fragment written");
-    std::fs::copy(&shard0, &shard1).expect("overwrite for overlap probe");
-    let (ok, _, stderr) = table1_raw(&["--quick", "merge-shards", "2"], &results_dir);
-    assert!(!ok, "merge accepted overlapping fragments");
-    assert!(stderr.contains("does not match its name"), "{stderr}");
-    std::fs::write(&shard1, shard1_bytes).expect("restore shard 1");
-
-    // Complete set: merged output reproduces the unsharded science exactly.
-    let (ok, merged_out, stderr) = table1_raw(&["--quick", "merge-shards", "2"], &results_dir);
-    assert!(ok, "merge-shards 2 failed:\n{stderr}");
-    assert_eq!(
-        science(&merged_out),
-        reference,
-        "merged shards diverged from the unsharded run"
-    );
-
-    // Mismatched scale flags are caught before any verdict-level merge.
-    let (ok, _, stderr) = table1_raw(&["merge-shards", "2"], &results_dir);
-    assert!(!ok, "merge accepted fragments from a different scale");
-    assert!(stderr.contains("does not match this invocation"), "{stderr}");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("unknown argument `--bogus-flag`"), "{stderr}");
+    assert!(output.stdout.is_empty(), "the run went ahead anyway");
+    assert!(!results_dir.join("bench_eval.json").exists(), "a rejected run recorded results");
 }
 
 /// Spawns the serve daemon as a subprocess (via `servebench --daemon`,

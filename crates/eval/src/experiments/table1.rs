@@ -13,8 +13,8 @@ use rtlfixer_llm::Capability;
 
 use crate::episode::{run_repair, RepairJob};
 use crate::metrics::fix_rate;
-use crate::runner::{episode_grid, run_episodes_planned, EpisodeSpec, RunStats};
-use crate::schedule::{self, EpisodeFeatures, Shard};
+use crate::runner::{episode_grid, run_episodes_planned, RunStats};
+use crate::schedule::EpisodeFeatures;
 
 /// Configuration for fix-rate experiments.
 #[derive(Debug, Clone, Copy)]
@@ -91,18 +91,6 @@ fn capability_from_label(label: &str) -> Capability {
     }
 }
 
-/// Raw per-episode verdicts of one Table 1 cell — the whole grid when run
-/// unsharded, or one shard's stripe of it. Positions are indices into the
-/// cell's entry-major episode grid, so fragments from different processes
-/// reassemble without any shared state beyond the config.
-#[derive(Debug, Clone)]
-pub struct CellVerdicts {
-    /// `(grid position, fixed?)` pairs, ascending by position.
-    pub successes: Vec<(usize, bool)>,
-    /// Wall-clock stats over the episodes this process actually ran.
-    pub stats: RunStats,
-}
-
 /// Folds a cell's full success vector (grid order, entry-major) into the
 /// paper's Eq. 1 fix rate.
 pub fn fix_rate_from_successes(successes: &[bool], repeats: usize) -> f64 {
@@ -113,15 +101,14 @@ pub fn fix_rate_from_successes(successes: &[bool], repeats: usize) -> f64 {
     fix_rate(&per_problem)
 }
 
-/// Runs one Table 1 cell's shard, returning raw verdicts by grid position.
+/// Runs one Table 1 cell, returning every episode's verdict in grid order
+/// (entry-major) plus wall-clock stats.
 ///
 /// Episodes execute on the planned pool ([`run_episodes_planned`]): the
-/// active `RTLFIXER_SCHED` policy picks the claim order (LPT + fingerprint
-/// batching by default), but per-episode seeds come from the canonical
+/// repeats of an entry share its source, so they run back-to-back as one
+/// batch. Per-episode seeds come from the canonical
 /// [`episode_seed`](crate::runner::episode_seed) grid and results land by
-/// position — bit-identical for every `config.jobs` value, policy and
-/// shard split.
-#[allow(clippy::too_many_arguments)]
+/// position, so verdicts are bit-identical for every `config.jobs` value.
 pub fn run_cell_verdicts(
     entries: &[SyntaxBenchEntry],
     strategy: Strategy,
@@ -130,18 +117,10 @@ pub fn run_cell_verdicts(
     capability: Capability,
     config: &FixRateConfig,
     cell_index: u64,
-    shard: Shard,
-) -> CellVerdicts {
-    let grid = episode_grid(config.base_seed, cell_index, entries.len(), config.repeats);
-    let positions = shard.indices(grid.len());
-    let specs: Vec<EpisodeSpec> = positions.iter().map(|&p| grid[p]).collect();
-    let features: Vec<EpisodeFeatures> = specs
-        .iter()
-        .map(|spec| {
-            let entry = &entries[spec.entry];
-            EpisodeFeatures::of(&entry.code, entry.categories.first().map(|c| c.slug()))
-        })
-        .collect();
+) -> (Vec<bool>, RunStats) {
+    let specs = episode_grid(config.base_seed, cell_index, entries.len(), config.repeats);
+    let features: Vec<EpisodeFeatures> =
+        specs.iter().map(|spec| EpisodeFeatures::of(&entries[spec.entry].code, None)).collect();
     let (results, failures, stats) = run_episodes_planned(config.jobs, &specs, &features, |spec| {
         let entry = &entries[spec.entry];
         // The canonical episode path (`episode::run_repair`) — shared with
@@ -165,16 +144,12 @@ pub fn run_cell_verdicts(
             "{} of {} episodes panicked; first at position {}: {}",
             failures.len(),
             specs.len(),
-            positions[first.index],
+            first.index,
             first.message
         );
     }
-    let successes = positions
-        .into_iter()
-        .zip(results)
-        .map(|(position, success)| (position, success.expect("no failures")))
-        .collect();
-    CellVerdicts { successes, stats }
+    let successes = results.into_iter().map(|success| success.expect("no failures")).collect();
+    (successes, stats)
 }
 
 /// Runs one Table 1 cell over `entries`, returning the fix rate plus
@@ -188,18 +163,9 @@ pub fn run_cell_timed(
     config: &FixRateConfig,
     cell_index: u64,
 ) -> (f64, RunStats) {
-    let verdicts = run_cell_verdicts(
-        entries,
-        strategy,
-        compiler,
-        rag,
-        capability,
-        config,
-        cell_index,
-        Shard::FULL,
-    );
-    let successes: Vec<bool> = verdicts.successes.iter().map(|&(_, s)| s).collect();
-    (fix_rate_from_successes(&successes, config.repeats), verdicts.stats)
+    let (successes, stats) =
+        run_cell_verdicts(entries, strategy, compiler, rag, capability, config, cell_index);
+    (fix_rate_from_successes(&successes, config.repeats), stats)
 }
 
 /// Runs one Table 1 cell over `entries` and returns the fix rate.
@@ -237,124 +203,15 @@ pub fn load_entries(config: &FixRateConfig) -> Arc<Vec<SyntaxBenchEntry>> {
     Arc::clone(cache.lock().expect("entries cache lock").entry(key).or_insert(view))
 }
 
-/// Runs one shard of the full Table 1 grid (14 cells), returning raw
-/// verdicts per cell. A `--shard i/n` bench process runs exactly this and
-/// writes the result as a fragment; `merge-shards` reassembles fragments
-/// through [`merge_table1_verdicts`]. Also publishes the shard's folded
-/// scheduler stats as the process-wide report.
-pub fn table1_verdicts(config: &FixRateConfig, shard: Shard) -> Vec<CellVerdicts> {
-    let entries = load_entries(config);
-    let cells: Vec<CellVerdicts> = PAPER_TABLE1
-        .iter()
-        .enumerate()
-        .map(|(cell_index, &(strategy_label, rag, compiler_label, llm_label, _))| {
-            let strategy = if strategy_label == "One-shot" {
-                Strategy::OneShot
-            } else {
-                Strategy::React { max_iterations: 10 }
-            };
-            run_cell_verdicts(
-                &entries,
-                strategy,
-                compiler_from_label(compiler_label),
-                rag,
-                capability_from_label(llm_label),
-                config,
-                cell_index as u64,
-                shard,
-            )
-        })
-        .collect();
-    let mut total = RunStats::new(0, std::time::Duration::ZERO);
-    for cell in &cells {
-        total.accumulate(&cell.stats);
-    }
-    if let Some(scheduler) = total.scheduler {
-        schedule::publish_report(scheduler);
-    }
-    cells
-}
-
-/// A merged Table 1 run: the rendered cells plus the 128-bit fingerprint
-/// over the grid's success bits (cell-major, grid order) — the
-/// cross-process identity a sharded merge must reproduce exactly.
+/// A full Table 1 run: the rendered cells plus the 128-bit fingerprint
+/// over the grid's success bits (cell-major, grid order) — the identity
+/// every `--jobs` value must reproduce exactly.
 #[derive(Debug, Clone)]
 pub struct Table1Merge {
     /// The 14 rendered cells, paper row order.
     pub cells: Vec<Table1Cell>,
-    /// `fingerprint128` over the merged success bits.
+    /// `fingerprint128` over the success bits.
     pub verdict_fingerprint: u128,
-}
-
-/// Reassembles Table 1 cells from one or more shards' verdicts.
-///
-/// Every fragment must hold the same 14 cells, and per cell the fragments'
-/// positions must partition the grid exactly — overlaps, gaps and
-/// grid-size mismatches are errors (a merge must never silently fabricate
-/// a verdict). Fix rates are recomputed from the reassembled success
-/// vectors through the same fold as an unsharded run, so merged output is
-/// structurally identical, not just numerically close.
-pub fn merge_table1_verdicts(
-    config: &FixRateConfig,
-    shards: &[Vec<CellVerdicts>],
-) -> Result<Table1Merge, String> {
-    let entries = load_entries(config);
-    let grid_len = entries.len() * config.repeats;
-    for (index, fragment) in shards.iter().enumerate() {
-        if fragment.len() != PAPER_TABLE1.len() {
-            return Err(format!(
-                "fragment {index} holds {} cells, expected {}",
-                fragment.len(),
-                PAPER_TABLE1.len()
-            ));
-        }
-    }
-    let mut bits: Vec<u8> = Vec::with_capacity(grid_len * PAPER_TABLE1.len());
-    let mut cells = Vec::with_capacity(PAPER_TABLE1.len());
-    for (cell_index, &(strategy_label, rag, compiler_label, llm_label, paper)) in
-        PAPER_TABLE1.iter().enumerate()
-    {
-        let mut successes: Vec<Option<bool>> = vec![None; grid_len];
-        let mut stats = RunStats::new(0, std::time::Duration::ZERO);
-        for fragment in shards {
-            let cell = &fragment[cell_index];
-            for &(position, success) in &cell.successes {
-                let slot = successes.get_mut(position).ok_or_else(|| {
-                    format!(
-                        "cell {cell_index}: position {position} outside the \
-                         {grid_len}-episode grid (shard configs must match)"
-                    )
-                })?;
-                if slot.replace(success).is_some() {
-                    return Err(format!(
-                        "cell {cell_index}: position {position} covered twice \
-                         (overlapping shards)"
-                    ));
-                }
-            }
-            stats.accumulate(&cell.stats);
-        }
-        let successes: Vec<bool> = successes
-            .into_iter()
-            .enumerate()
-            .map(|(position, slot)| {
-                slot.ok_or_else(|| {
-                    format!("cell {cell_index}: position {position} missing (incomplete shards)")
-                })
-            })
-            .collect::<Result<_, String>>()?;
-        bits.extend(successes.iter().map(|&s| s as u8));
-        cells.push(Table1Cell {
-            strategy: strategy_label.to_owned(),
-            rag,
-            compiler: compiler_label.to_owned(),
-            llm: llm_label.to_owned(),
-            fix_rate: fix_rate_from_successes(&successes, config.repeats),
-            paper,
-            stats,
-        });
-    }
-    Ok(Table1Merge { cells, verdict_fingerprint: rtlfixer_cache::fingerprint128(&bits) })
 }
 
 /// Reproduces the full Table 1 grid (14 cells).
@@ -362,13 +219,41 @@ pub fn table1(config: &FixRateConfig) -> Vec<Table1Cell> {
     table1_merged(config).cells
 }
 
-/// [`table1`] plus the verdict fingerprint: a single-process run expressed
-/// as a one-fragment merge, so unsharded and merged outputs flow through
-/// byte-identical code paths.
+/// [`table1`] plus the verdict fingerprint.
 pub fn table1_merged(config: &FixRateConfig) -> Table1Merge {
-    let verdicts = table1_verdicts(config, Shard::FULL);
-    merge_table1_verdicts(config, std::slice::from_ref(&verdicts))
-        .expect("a full shard is a complete partition")
+    let entries = load_entries(config);
+    let mut bits: Vec<u8> = Vec::with_capacity(entries.len() * config.repeats * PAPER_TABLE1.len());
+    let cells = PAPER_TABLE1
+        .iter()
+        .enumerate()
+        .map(|(cell_index, &(strategy_label, rag, compiler_label, llm_label, paper))| {
+            let strategy = if strategy_label == "One-shot" {
+                Strategy::OneShot
+            } else {
+                Strategy::React { max_iterations: 10 }
+            };
+            let (successes, stats) = run_cell_verdicts(
+                &entries,
+                strategy,
+                compiler_from_label(compiler_label),
+                rag,
+                capability_from_label(llm_label),
+                config,
+                cell_index as u64,
+            );
+            bits.extend(successes.iter().map(|&s| s as u8));
+            Table1Cell {
+                strategy: strategy_label.to_owned(),
+                rag,
+                compiler: compiler_label.to_owned(),
+                llm: llm_label.to_owned(),
+                fix_rate: fix_rate_from_successes(&successes, config.repeats),
+                paper,
+                stats,
+            }
+        })
+        .collect();
+    Table1Merge { cells, verdict_fingerprint: rtlfixer_cache::fingerprint128(&bits) }
 }
 
 #[cfg(test)]
@@ -492,35 +377,6 @@ mod tests {
         let serial = run(1);
         assert_eq!(run(2), serial, "jobs=2 must match jobs=1");
         assert_eq!(run(8), serial, "jobs=8 must match jobs=1");
-    }
-
-    #[test]
-    fn sharded_merge_matches_unsharded_bitwise() {
-        let config = FixRateConfig {
-            max_entries: Some(8),
-            repeats: 2,
-            dataset_seed: 7,
-            base_seed: 1,
-            jobs: 2,
-        };
-        let full = table1_merged(&config);
-        let halves = [
-            table1_verdicts(&config, Shard { index: 0, count: 2 }),
-            table1_verdicts(&config, Shard { index: 1, count: 2 }),
-        ];
-        let merged = merge_table1_verdicts(&config, &halves).expect("halves partition the grid");
-        assert_eq!(merged.verdict_fingerprint, full.verdict_fingerprint);
-        for (a, b) in full.cells.iter().zip(&merged.cells) {
-            // Bit-pattern equality: the merge recomputes fix rates through
-            // the same fold, so the floats are identical, not just close.
-            assert_eq!(a.fix_rate.to_bits(), b.fix_rate.to_bits(), "{}", a.strategy);
-            assert_eq!(a.stats.episodes, b.stats.episodes);
-        }
-        // Incomplete and overlapping fragment sets are rejected.
-        let one = std::slice::from_ref(&halves[0]);
-        assert!(merge_table1_verdicts(&config, one).unwrap_err().contains("missing"));
-        let twice = [halves[0].clone(), halves[0].clone()];
-        assert!(merge_table1_verdicts(&config, &twice).unwrap_err().contains("covered twice"));
     }
 
     #[test]

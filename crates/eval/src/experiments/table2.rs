@@ -11,7 +11,7 @@ use rtlfixer_llm::{Capability, ResilientModel, SimulatedLlm};
 
 use crate::metrics::mean_pass_at_k;
 use crate::runner::{episode_seed, run_episodes_planned, EpisodeSpec, RunStats};
-use crate::schedule::{self, EpisodeFeatures, Shard};
+use crate::schedule::EpisodeFeatures;
 
 /// Configuration for generation-based experiments.
 #[derive(Debug, Clone, Copy)]
@@ -80,27 +80,25 @@ pub struct SuiteEvaluation {
     pub stats: RunStats,
 }
 
-/// Per-problem counts from one evaluation pass. Public (with the problem's
-/// subset index) so sharded bench runs can write them into fragments and
-/// `merge-shards` can reassemble a suite without re-running anything.
-#[derive(Debug, Clone)]
-pub struct ProblemCounts {
+/// Per-problem counts from one evaluation pass.
+#[derive(Debug)]
+struct ProblemCounts {
     /// Difficulty of the problem (for the easy/hard splits).
-    pub difficulty: Difficulty,
+    difficulty: Difficulty,
     /// Samples passing simulation before fixing.
-    pub pass_original: usize,
+    pass_original: usize,
     /// Samples passing simulation after fixing.
-    pub pass_fixed: usize,
+    pass_fixed: usize,
     /// Samples generated for this problem.
-    pub samples: usize,
+    samples: usize,
     /// Samples failing to compile before fixing.
-    pub syntax_original: usize,
+    syntax_original: usize,
     /// Samples failing to compile after fixing.
-    pub syntax_fixed: usize,
+    syntax_fixed: usize,
     /// Samples compiling but failing simulation before fixing.
-    pub sim_original: usize,
+    sim_original: usize,
     /// Samples compiling but failing simulation after fixing.
-    pub sim_fixed: usize,
+    sim_fixed: usize,
 }
 
 /// Evaluates one problem: generates `samples` candidates, measures original
@@ -202,36 +200,29 @@ fn subset<'a>(problems: &'a [Problem], config: &PassAtKConfig) -> Vec<&'a Proble
     }
 }
 
-/// Evaluates one shard's stripe of a suite, returning raw per-problem
-/// counts tagged with their subset index. A `--shard i/n` bench process
-/// runs exactly this; [`suite_from_counts`] reassembles fragments into the
-/// same [`SuiteEvaluation`] an unsharded run produces. Also publishes the
-/// shard's scheduler stats as the process-wide report.
-pub fn evaluate_suite_counts(
+/// Runs the Table 2 evaluation over a problem suite, producing All/easy/hard
+/// rows plus the Figure 4 shares.
+pub fn evaluate_suite(
+    suite_label: &str,
     problems: &[Problem],
     config: &PassAtKConfig,
-    shard: Shard,
-) -> (Vec<(usize, ProblemCounts)>, RunStats) {
+) -> SuiteEvaluation {
     let problems = subset(problems, config);
-    let positions = shard.indices(problems.len());
     // One problem per pool task: sample generation is sequential within a
     // problem (the generator's RNG stream is per-problem), but problems are
     // independent, seeded by subset index, and safe to run in any order.
-    // Synthetic specs carry the subset index so the planner can order them;
-    // the seeds episodes actually use derive inside `evaluate_problem`.
-    let specs: Vec<EpisodeSpec> = positions
-        .iter()
-        .map(|&p| EpisodeSpec {
+    // Synthetic specs carry the subset index; the seeds episodes actually
+    // use derive inside `evaluate_problem`.
+    let specs: Vec<EpisodeSpec> = (0..problems.len())
+        .map(|p| EpisodeSpec {
             cell: 40,
             entry: p,
             repeat: 0,
             seed: episode_seed(config.seed, 40, p as u64, 0),
         })
         .collect();
-    let features: Vec<EpisodeFeatures> = positions
-        .iter()
-        .map(|&p| EpisodeFeatures::of(&problems[p].description, None))
-        .collect();
+    let features: Vec<EpisodeFeatures> =
+        problems.iter().map(|p| EpisodeFeatures::of(&p.description, None)).collect();
     let (results, failures, mut stats) =
         run_episodes_planned(config.jobs, &specs, &features, |spec| {
             evaluate_problem(problems[spec.entry], config, spec.entry as u64)
@@ -241,7 +232,7 @@ pub fn evaluate_suite_counts(
             "{} of {} problems panicked; first at subset index {}: {}",
             failures.len(),
             specs.len(),
-            positions[first.index],
+            first.index,
             first.message
         );
     }
@@ -250,78 +241,9 @@ pub fn evaluate_suite_counts(
     stats.episodes = specs.len() * config.samples;
     stats.episodes_per_sec =
         if stats.seconds > 0.0 { stats.episodes as f64 / stats.seconds } else { 0.0 };
-    if let Some(scheduler) = stats.scheduler {
-        schedule::publish_report(scheduler);
-    }
-    let counts = positions
-        .into_iter()
-        .zip(results)
-        .map(|(position, counts)| (position, counts.expect("no failures")))
-        .collect();
-    (counts, stats)
-}
+    let counts: Vec<ProblemCounts> =
+        results.into_iter().map(|counts| counts.expect("no failures")).collect();
 
-/// Reassembles a [`SuiteEvaluation`] from shards' per-problem counts.
-///
-/// The fragments' subset indices must partition `0..subset_len` exactly —
-/// overlaps, gaps and out-of-range indices are errors. Rows and shares are
-/// recomputed from the reassembled counts through the same folds as an
-/// unsharded run, so merged output is structurally identical.
-pub fn suite_from_counts(
-    suite_label: &str,
-    problems: &[Problem],
-    config: &PassAtKConfig,
-    shards: &[Vec<(usize, ProblemCounts)>],
-    stats: RunStats,
-) -> Result<SuiteEvaluation, String> {
-    let subset_len = subset(problems, config).len();
-    let mut slots: Vec<Option<ProblemCounts>> = vec![None; subset_len];
-    for fragment in shards {
-        for (position, counts) in fragment {
-            let slot = slots.get_mut(*position).ok_or_else(|| {
-                format!(
-                    "{suite_label}: problem index {position} outside the \
-                     {subset_len}-problem subset (shard configs must match)"
-                )
-            })?;
-            if slot.replace(counts.clone()).is_some() {
-                return Err(format!(
-                    "{suite_label}: problem index {position} covered twice (overlapping shards)"
-                ));
-            }
-        }
-    }
-    let counts: Vec<ProblemCounts> = slots
-        .into_iter()
-        .enumerate()
-        .map(|(position, slot)| {
-            slot.ok_or_else(|| {
-                format!("{suite_label}: problem index {position} missing (incomplete shards)")
-            })
-        })
-        .collect::<Result<_, String>>()?;
-    Ok(assemble_suite(suite_label, counts, stats))
-}
-
-/// Runs the Table 2 evaluation over a problem suite, producing All/easy/hard
-/// rows plus the Figure 4 shares.
-pub fn evaluate_suite(
-    suite_label: &str,
-    problems: &[Problem],
-    config: &PassAtKConfig,
-) -> SuiteEvaluation {
-    let (tagged, stats) = evaluate_suite_counts(problems, config, Shard::FULL);
-    let counts: Vec<ProblemCounts> = tagged.into_iter().map(|(_, counts)| counts).collect();
-    assemble_suite(suite_label, counts, stats)
-}
-
-/// The shared fold from reassembled per-problem counts to a rendered
-/// evaluation (rows, shares, failure rates).
-fn assemble_suite(
-    suite_label: &str,
-    counts: Vec<ProblemCounts>,
-    stats: RunStats,
-) -> SuiteEvaluation {
     let all: Vec<&ProblemCounts> = counts.iter().collect();
     let easy: Vec<&ProblemCounts> =
         counts.iter().filter(|c| c.difficulty == Difficulty::Easy).collect();
@@ -442,40 +364,6 @@ mod tests {
             assert_eq!(a.pass5_fixed, b.pass5_fixed);
         }
         assert_eq!(serial.syntax_failure_rate, parallel.syntax_failure_rate);
-    }
-
-    #[test]
-    fn sharded_suite_merge_matches_unsharded_bitwise() {
-        let problems = rtlfixer_dataset::verilog_eval_human();
-        let config = small_config();
-        let full = evaluate_suite("Human", &problems, &config);
-        let (half0, stats0) =
-            evaluate_suite_counts(&problems, &config, Shard { index: 0, count: 2 });
-        let (half1, stats1) =
-            evaluate_suite_counts(&problems, &config, Shard { index: 1, count: 2 });
-        let mut stats = stats0;
-        stats.accumulate(&stats1);
-        let halves = [half0, half1];
-        let merged = suite_from_counts("Human", &problems, &config, &halves, stats)
-            .expect("halves partition the subset");
-        for (a, b) in full.rows.iter().zip(&merged.rows) {
-            assert_eq!(a.pass1_original.to_bits(), b.pass1_original.to_bits(), "{}", a.set);
-            assert_eq!(a.pass1_fixed.to_bits(), b.pass1_fixed.to_bits(), "{}", a.set);
-            assert_eq!(a.pass5_original.to_bits(), b.pass5_original.to_bits(), "{}", a.set);
-            assert_eq!(a.pass5_fixed.to_bits(), b.pass5_fixed.to_bits(), "{}", a.set);
-            assert_eq!(a.problems, b.problems);
-        }
-        assert_eq!(
-            full.syntax_failure_rate.to_bits(),
-            merged.syntax_failure_rate.to_bits()
-        );
-        // Incomplete and overlapping fragment sets are rejected.
-        let one = std::slice::from_ref(&halves[0]);
-        let err = suite_from_counts("Human", &problems, &config, one, stats).unwrap_err();
-        assert!(err.contains("missing"), "{err}");
-        let twice = [halves[0].clone(), halves[0].clone()];
-        let err = suite_from_counts("Human", &problems, &config, &twice, stats).unwrap_err();
-        assert!(err.contains("covered twice"), "{err}");
     }
 
     #[test]

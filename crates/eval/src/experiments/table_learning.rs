@@ -96,13 +96,8 @@ pub fn run_learning(config: &LearningConfig) -> Vec<LearningPoint> {
         entries.len(),
         config.episodes.repeats,
     );
-    let features: Vec<EpisodeFeatures> = grid
-        .iter()
-        .map(|spec| {
-            let entry = &entries[spec.entry];
-            EpisodeFeatures::of(&entry.code, entry.categories.first().map(|c| c.slug()))
-        })
-        .collect();
+    let features: Vec<EpisodeFeatures> =
+        grid.iter().map(|spec| EpisodeFeatures::of(&entries[spec.entry].code, None)).collect();
 
     let mut points = Vec::with_capacity(config.rounds);
     for round in 0..config.rounds {

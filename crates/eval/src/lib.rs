@@ -8,12 +8,10 @@
 //!   experiments run on: a work-stealing thread pool plus the canonical
 //!   per-episode seed derivation, guaranteeing results are bit-identical
 //!   for any `--jobs` value.
-//! * [`schedule`] — the planning layer over the runner: a telemetry-seeded
-//!   cost model orders the claim queue longest-expected-first, specs
-//!   sharing a source fingerprint coalesce into cache-warming batches, and
-//!   [`schedule::Shard`] partitions grids for deterministic multi-process
-//!   runs (`--shard i/n` + `merge-shards`). Scheduling never changes
-//!   results — only when they are computed.
+//! * [`schedule`] — the plan the runner claims work by: specs sharing a
+//!   source fingerprint coalesce into cache-warming batches, in grid
+//!   order. Scheduling never changes results — only when they are
+//!   computed.
 //! * [`experiments::table1`] — the fix-rate grid (strategy × RAG ×
 //!   feedback × LLM), with the paper's reported values embedded for
 //!   side-by-side comparison.
@@ -44,8 +42,6 @@ pub use metrics::{fix_rate, mean_pass_at_k, pass_at_k};
 pub use runner::{
     cache_report, episode_seed, panic_message, resolve_jobs, run_episodes, run_episodes_checked,
     run_episodes_planned, run_indexed_checked, run_planned_checked, CacheReport, EpisodeFailure,
-    EpisodeSpec, PlannedMetrics, RunStats,
+    EpisodeSpec, RunStats,
 };
-pub use schedule::{
-    scheduler_report, CostModel, EpisodeFeatures, Plan, Policy, SchedulerStats, Shard,
-};
+pub use schedule::{EpisodeFeatures, Plan, SchedulerStats};

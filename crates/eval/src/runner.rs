@@ -18,7 +18,8 @@
 //! * [`run_planned_checked`] / [`run_episodes_planned`] — the one executor
 //!   behind all of these: workers claim the batches of a
 //!   [`Plan`](crate::schedule::Plan) in order. The index-range entry points
-//!   run the grid plan, one index per batch in index order.
+//!   run the grid plan, one index per batch in index order;
+//!   [`run_episodes_planned`] runs the fingerprint-batched plan.
 //! * [`episode_grid`] / [`run_episodes`] — the flattened
 //!   entries × repeats grid most experiments execute, with wall-clock
 //!   [`RunStats`].
@@ -160,20 +161,6 @@ where
     (results, failures)
 }
 
-/// Per-episode actuals and barrier accounting from one planned run
-/// ([`run_planned_checked`]).
-#[derive(Debug, Clone)]
-pub struct PlannedMetrics {
-    /// Measured episode duration by original index, in microseconds — the
-    /// "actual" side of the cost model's predicted-vs-actual rank
-    /// correlation.
-    pub actual_us: Vec<u64>,
-    /// Total wall time workers spent idle at the pool barrier (their own
-    /// queue drained, other workers still running), in microseconds.
-    /// Always `0` on the serial path, which has no barrier.
-    pub barrier_idle_us: u64,
-}
-
 /// Executes a [`Plan`](crate::schedule::Plan): workers claim whole batches
 /// from a shared cursor and run members back-to-back (so a batch leader's
 /// compile/elaborate warms the artifact caches for its followers), then
@@ -190,11 +177,15 @@ pub struct PlannedMetrics {
 /// bit-identical for every `jobs` value and every plan over the same
 /// positions. A contained panic keeps the failed episode's partial
 /// telemetry — failures should be visible.
+///
+/// The third return value is the total wall time workers spent idle at the
+/// pool barrier (their own queue drained, other workers still running), in
+/// microseconds; always `0` on the serial path, which has no barrier.
 pub fn run_planned_checked<R, F>(
     jobs: usize,
     plan: &crate::schedule::Plan,
     task: F,
-) -> (Vec<Option<R>>, Vec<EpisodeFailure>, PlannedMetrics)
+) -> (Vec<Option<R>>, Vec<EpisodeFailure>, u64)
 where
     R: Send,
     F: Fn(usize) -> R + Sync,
@@ -203,13 +194,11 @@ where
     let jobs = resolve_jobs(jobs).min(plan.batches.len().max(1));
     let run_one = |index: usize| {
         rtlfixer_obs::episode_begin();
-        let start = Instant::now();
         let result = catch_unwind(AssertUnwindSafe(|| task(index)));
-        let micros = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
         let telemetry = rtlfixer_obs::episode_end();
-        (result.map_err(panic_message), telemetry, micros)
+        (result.map_err(panic_message), telemetry)
     };
-    type Slot<R> = (Result<R, String>, Option<rtlfixer_obs::EpisodeTelemetry>, u64);
+    type Slot<R> = (Result<R, String>, Option<rtlfixer_obs::EpisodeTelemetry>);
 
     let mut slots: Vec<Option<Slot<R>>> = Vec::new();
     slots.resize_with(len, || None);
@@ -269,16 +258,13 @@ where
 
     let mut results = Vec::with_capacity(len);
     let mut failures = Vec::new();
-    let mut actual_us = Vec::with_capacity(len);
     for (index, slot) in slots.into_iter().enumerate() {
-        let (result, telemetry, micros) =
-            slot.expect("plan covered every position exactly once");
+        let (result, telemetry) = slot.expect("plan covered every position exactly once");
         // The pool barrier: worker-local telemetry merges in index order,
         // independent of which worker ran what, in which batch.
         if let Some(telemetry) = &telemetry {
             rtlfixer_obs::merge(telemetry);
         }
-        actual_us.push(micros);
         match result {
             Ok(value) => results.push(Some(value)),
             Err(message) => {
@@ -287,7 +273,7 @@ where
             }
         }
     }
-    (results, failures, PlannedMetrics { actual_us, barrier_idle_us })
+    (results, failures, barrier_idle_us)
 }
 
 /// Coordinates plus derived seed for one episode.
@@ -390,10 +376,9 @@ pub struct RunStats {
     /// Episodes that panicked and were contained as [`EpisodeFailure`]s
     /// (always 0 on the unchecked paths, which abort instead).
     pub failed_episodes: usize,
-    /// Scheduler metadata of the run (policy, batches formed,
-    /// predicted-vs-actual rank correlation, barrier idle) — `None`
-    /// (serialised as `null`) for runs that never went through the
-    /// planner.
+    /// Scheduler metadata of the run (batches formed, episodes coalesced,
+    /// barrier idle) — `None` (serialised as `null`) for runs that never
+    /// went through [`run_episodes_planned`].
     pub scheduler: Option<crate::schedule::SchedulerStats>,
 }
 
@@ -420,23 +405,15 @@ impl RunStats {
         self
     }
 
-    /// Attaches scheduler metadata (builder style).
-    pub fn with_scheduler(mut self, scheduler: crate::schedule::SchedulerStats) -> Self {
-        self.scheduler = Some(scheduler);
-        self
-    }
-
-    /// Folds another run's wall-clock stats into this one (episodes and
-    /// seconds add, throughput recomputes, scheduler metadata merges
-    /// episode-weighted). The aggregation the multi-cell binaries and the
-    /// shard-merge tool share.
+    /// Folds another run's wall-clock stats into this one (episodes,
+    /// seconds and scheduler counters add, throughput recomputes). The
+    /// aggregation the multi-cell experiments share.
     pub fn accumulate(&mut self, other: &RunStats) {
-        match (&mut self.scheduler, &other.scheduler) {
-            (Some(mine), Some(theirs)) => {
-                mine.merge(self.episodes, theirs, other.episodes);
-            }
-            (slot @ None, Some(theirs)) => *slot = Some(*theirs),
-            _ => {}
+        if let Some(theirs) = &other.scheduler {
+            let mine = self.scheduler.get_or_insert_with(Default::default);
+            mine.batches += theirs.batches;
+            mine.coalesced += theirs.coalesced;
+            mine.barrier_idle_us += theirs.barrier_idle_us;
         }
         self.episodes += other.episodes;
         self.failed_episodes += other.failed_episodes;
@@ -479,14 +456,13 @@ where
     (results, failures, stats)
 }
 
-/// [`run_episodes_checked`] routed through the scheduling subsystem
-/// ([`crate::schedule`]): the active policy picks the plan that orders the
-/// claim queue (LPT + fingerprint batching by default, grid order under
-/// `RTLFIXER_SCHED=grid` or an "off" spelling), and the returned
-/// [`RunStats`] carries the run's
+/// [`run_episodes_checked`] over the fingerprint-batched
+/// [`Plan`](crate::schedule::Plan) of `features` (one per spec): specs
+/// sharing a source run back-to-back on one worker, batches in grid order.
+/// The returned [`RunStats`] carries the run's
 /// [`SchedulerStats`](crate::schedule::SchedulerStats) for
 /// `results/bench_eval.json`. Results and failures are by original grid
-/// position under every policy — scheduling is invisible in the outputs.
+/// position — the plan is invisible in the outputs.
 pub fn run_episodes_planned<R, F>(
     jobs: usize,
     specs: &[EpisodeSpec],
@@ -497,10 +473,8 @@ where
     R: Send,
     F: Fn(&EpisodeSpec) -> R + Sync,
 {
-    use crate::schedule::{self, SchedulerStats};
     assert_eq!(specs.len(), features.len(), "one feature set per spec");
-    let model = schedule::CostModel::from_telemetry();
-    let plan = schedule::Plan::for_policy(schedule::policy(), features, &model);
+    let plan = crate::schedule::Plan::batched(features);
     // Episodes are CPU-bound, so workers beyond the machine's parallelism
     // only add context-switch and cache-thrash overhead. The planner clamps
     // the pool to the hardware (results are jobs-invariant by construction,
@@ -508,21 +482,14 @@ where
     let hardware = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(usize::MAX);
     let jobs = resolve_jobs(jobs).min(hardware);
     let start = Instant::now();
-    let (results, failures, metrics) = run_planned_checked(jobs, &plan, |i| episode(&specs[i]));
-    let rank_correlation = if plan.predicted.is_empty() {
-        0.0
-    } else {
-        schedule::spearman(&plan.predicted, &metrics.actual_us)
-    };
-    let stats = RunStats::new(specs.len(), start.elapsed())
-        .with_failed(failures.len())
-        .with_scheduler(SchedulerStats {
-            policy: plan.policy.name(),
-            batches: plan.batches.len(),
-            coalesced: plan.coalesced(),
-            rank_correlation,
-            barrier_idle_us: metrics.barrier_idle_us,
-        });
+    let (results, failures, barrier_idle_us) =
+        run_planned_checked(jobs, &plan, |i| episode(&specs[i]));
+    let mut stats = RunStats::new(specs.len(), start.elapsed()).with_failed(failures.len());
+    stats.scheduler = Some(crate::schedule::SchedulerStats {
+        batches: plan.batches.len(),
+        coalesced: plan.coalesced(),
+        barrier_idle_us,
+    });
     (results, failures, stats)
 }
 
@@ -704,7 +671,7 @@ mod tests {
         // other's runs.
         // Only `test.`-prefixed keys are compared: other tests in this
         // binary may record telemetry concurrently while the flag is on.
-        use crate::schedule::{CostModel, EpisodeFeatures, Plan};
+        use crate::schedule::{EpisodeFeatures, Plan};
         rtlfixer_obs::set_telemetry(true);
         let ours = |snap: &rtlfixer_obs::Snapshot| {
             let counters: Vec<(String, u64)> = snap
@@ -739,7 +706,7 @@ mod tests {
             assert_eq!(run(jobs), serial, "jobs = {jobs}");
         }
 
-        // An LPT plan against `run_indexed` at one job.
+        // A batched plan against `run_indexed` at one job.
         let work = |i: usize| {
             rtlfixer_obs::counter_add("test.sched.episodes", 1);
             rtlfixer_obs::observe("test.sched.value", (i as u64) * 13 % 50);
@@ -749,14 +716,9 @@ mod tests {
         let _ = run_indexed(1, 30, work);
         let grid = ours(&rtlfixer_obs::snapshot());
         assert!(grid.0.iter().any(|(k, v)| k == "test.sched.episodes" && *v == 30), "{grid:?}");
-        let features: Vec<EpisodeFeatures> = (0..30)
-            .map(|i| EpisodeFeatures {
-                fingerprint: u128::from(i as u64 % 5),
-                source_len: i,
-                category: Some("width_mismatch"),
-            })
-            .collect();
-        let plan = Plan::lpt(&features, &CostModel::static_only());
+        let features: Vec<EpisodeFeatures> =
+            (0..30).map(|i| EpisodeFeatures { fingerprint: u128::from(i as u64 % 5) }).collect();
+        let plan = Plan::batched(&features);
         for jobs in [1, 4] {
             rtlfixer_obs::reset();
             let _ = run_planned_checked(jobs, &plan, work);
@@ -768,26 +730,22 @@ mod tests {
 
     #[test]
     fn planned_executor_is_identical_under_every_plan_and_jobs() {
-        use crate::schedule::{CostModel, EpisodeFeatures, Plan};
+        use crate::schedule::{EpisodeFeatures, Plan};
         let work = |i: usize| (i as u64).wrapping_mul(0x9E37_79B9).rotate_left(i as u32 % 64);
         let expected: Vec<Option<u64>> = (0..120).map(|i| Some(work(i))).collect();
-        // Grid plan, LPT plan (with shared fingerprints so real batches
-        // form), at several job counts: identical results in index order.
+        // Grid plan and batched plan (with shared fingerprints so real
+        // batches form), at several job counts: identical results in index
+        // order.
         let features: Vec<EpisodeFeatures> = (0..120)
-            .map(|i| EpisodeFeatures {
-                fingerprint: u128::from(i as u64 % 17),
-                source_len: (i * 31) % 700,
-                category: Some("syntax_error"),
-            })
+            .map(|i| EpisodeFeatures { fingerprint: u128::from(i as u64 % 17) })
             .collect();
-        for plan in [Plan::grid(120), Plan::lpt(&features, &CostModel::static_only())] {
+        for plan in [Plan::grid(120), Plan::batched(&features)] {
             for jobs in [1, 2, 4] {
-                let (results, failures, metrics) = run_planned_checked(jobs, &plan, work);
-                assert_eq!(results, expected, "policy {:?} jobs {jobs}", plan.policy);
+                let (results, failures, barrier_idle_us) = run_planned_checked(jobs, &plan, work);
+                assert_eq!(results, expected, "{} batches, jobs {jobs}", plan.batches.len());
                 assert!(failures.is_empty());
-                assert_eq!(metrics.actual_us.len(), 120);
                 if jobs == 1 {
-                    assert_eq!(metrics.barrier_idle_us, 0, "no barrier when serial");
+                    assert_eq!(barrier_idle_us, 0, "no barrier when serial");
                 }
             }
         }
@@ -795,15 +753,10 @@ mod tests {
 
     #[test]
     fn planned_executor_contains_panics_by_original_index() {
-        use crate::schedule::{CostModel, EpisodeFeatures, Plan};
-        let features: Vec<EpisodeFeatures> = (0..20)
-            .map(|i| EpisodeFeatures {
-                fingerprint: u128::from(i as u64 / 2),
-                source_len: 0,
-                category: None,
-            })
-            .collect();
-        let plan = Plan::lpt(&features, &CostModel::static_only());
+        use crate::schedule::{EpisodeFeatures, Plan};
+        let features: Vec<EpisodeFeatures> =
+            (0..20).map(|i| EpisodeFeatures { fingerprint: u128::from(i as u64 / 2) }).collect();
+        let plan = Plan::batched(&features);
         for jobs in [1, 3] {
             let (results, failures, _) = quietly(|| {
                 run_planned_checked(jobs, &plan, |i| {
@@ -825,20 +778,10 @@ mod tests {
     #[test]
     fn run_stats_accumulate_folds_scheduler_metadata() {
         use crate::schedule::SchedulerStats;
-        let mut total = RunStats::new(10, Duration::from_secs(1)).with_scheduler(SchedulerStats {
-            policy: "lpt",
-            batches: 4,
-            coalesced: 6,
-            rank_correlation: 1.0,
-            barrier_idle_us: 10,
-        });
-        let other = RunStats::new(30, Duration::from_secs(3)).with_scheduler(SchedulerStats {
-            policy: "lpt",
-            batches: 10,
-            coalesced: 20,
-            rank_correlation: 0.0,
-            barrier_idle_us: 30,
-        });
+        let mut total = RunStats::new(10, Duration::from_secs(1));
+        total.scheduler = Some(SchedulerStats { batches: 4, coalesced: 6, barrier_idle_us: 10 });
+        let mut other = RunStats::new(30, Duration::from_secs(3));
+        other.scheduler = Some(SchedulerStats { batches: 10, coalesced: 20, barrier_idle_us: 30 });
         total.accumulate(&other);
         assert_eq!(total.episodes, 40);
         assert!((total.seconds - 4.0).abs() < 1e-12);
@@ -847,7 +790,6 @@ mod tests {
         assert_eq!(sched.batches, 14);
         assert_eq!(sched.coalesced, 26);
         assert_eq!(sched.barrier_idle_us, 40);
-        assert!((sched.rank_correlation - 0.25).abs() < 1e-12, "{sched:?}");
         // Folding into a scheduler-less total adopts the other side's stats.
         let mut bare = RunStats::new(5, Duration::from_secs(1));
         bare.accumulate(&other);

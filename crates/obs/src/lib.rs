@@ -459,73 +459,6 @@ pub fn snapshot() -> Snapshot {
     with_registry(|registry| registry.clone())
 }
 
-/// Compact summary of one span-duration histogram, the shape consumers
-/// (the episode scheduler's cost model, the bench `--telemetry` block)
-/// need without re-deriving it from raw buckets or re-parsing JSONL
-/// traces.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SpanSummary {
-    /// Spans recorded.
-    pub count: u64,
-    /// Median duration in microseconds (bucket upper bound).
-    pub p50: u64,
-    /// 95th-percentile duration in microseconds (bucket upper bound).
-    pub p95: u64,
-    /// Total duration in microseconds (saturating).
-    pub sum: u64,
-}
-
-impl From<&Histogram> for SpanSummary {
-    fn from(hist: &Histogram) -> Self {
-        SpanSummary {
-            count: hist.count(),
-            p50: hist.percentile(0.50),
-            p95: hist.percentile(0.95),
-            sum: hist.sum(),
-        }
-    }
-}
-
-impl SpanSummary {
-    /// Mean duration in microseconds (`0` when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-}
-
-/// Summarises the span histogram of one kind (`span.<kind>.us`), if any
-/// samples were recorded. `kind` accepts the same free-form names [`span`]
-/// does, including dotted per-category kinds such as
-/// `episode.by_category.syntax_error`.
-pub fn span_summary(kind: &str) -> Option<SpanSummary> {
-    with_registry(|registry| {
-        registry.hists.get(&format!("span.{kind}.us")).map(SpanSummary::from)
-    })
-}
-
-/// Summarises every span histogram whose kind starts with `prefix`,
-/// keyed by the remainder of the kind after the prefix. The scheduler's
-/// cost model uses `span_summaries("episode.by_category.")` to read the
-/// per-error-category episode-duration histograms directly from the
-/// registry instead of re-parsing JSONL traces.
-pub fn span_summaries(prefix: &str) -> BTreeMap<String, SpanSummary> {
-    with_registry(|registry| {
-        registry
-            .hists
-            .iter()
-            .filter_map(|(name, hist)| {
-                let kind = name.strip_prefix("span.")?.strip_suffix(".us")?;
-                let rest = kind.strip_prefix(prefix)?;
-                Some((rest.to_owned(), SpanSummary::from(hist)))
-            })
-            .collect()
-    })
-}
-
 /// Zeroes the global registry (tests, A/B sweeps). The trace sink and
 /// switches are untouched.
 pub fn reset() {
@@ -730,33 +663,6 @@ mod tests {
         assert!(hist.mean() > 0.0);
         let buckets = hist.nonzero_buckets();
         assert!(buckets.iter().any(|(upper, count)| *upper == 1023 && *count == 4));
-    }
-
-    #[test]
-    fn span_summaries_expose_per_category_histograms() {
-        with_telemetry(|| {
-            for us in [100u64, 200, 400, 3_000] {
-                observe("span.episode.by_category.syntax_error.us", us);
-            }
-            observe("span.episode.by_category.width_mismatch.us", 50);
-            observe("span.compile.us", 10);
-            let summary =
-                span_summary("episode.by_category.syntax_error").expect("histogram recorded");
-            assert_eq!(summary.count, 4);
-            assert_eq!(summary.sum, 3_700);
-            assert!((summary.mean() - 925.0).abs() < 1e-9);
-            // p50/p95 are bucket upper bounds of the log2 histogram.
-            assert_eq!(summary.p50, 255);
-            assert_eq!(summary.p95, 4_095);
-
-            let all = span_summaries("episode.by_category.");
-            assert_eq!(all.len(), 2, "{all:?}");
-            assert_eq!(all.get("syntax_error"), Some(&summary));
-            assert_eq!(all.get("width_mismatch").map(|s| s.count), Some(1));
-            assert!(span_summary("episode.by_category.nonsense").is_none());
-            // The prefix filter must not leak unrelated span kinds.
-            assert!(!all.contains_key("compile"), "{all:?}");
-        });
     }
 
     #[test]
