@@ -19,13 +19,13 @@ use rtlfixer_llm::{
 use rtlfixer_obs as obs;
 use rtlfixer_rag::{
     category_brief, distill_enabled, hybrid_enabled, DefaultRetriever, DistilledEntry,
-    DistilledSnapshot, DistilledStore, GuidanceDatabase, HybridRetriever, RetrievalQuery,
-    Retriever,
+    DistilledSnapshot, DistilledStore, Evidence, GuidanceDatabase, HybridRetriever,
+    RetrievalQuery, Retriever,
 };
 use rtlfixer_verilog::diag::ErrorCategory;
 
 use crate::prefixer::prefix_fix;
-use crate::trace::{Action, FixTrace};
+use crate::trace::{Action, FixTrace, TraceText};
 
 /// Fixing strategy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -300,6 +300,11 @@ impl<L: LanguageModel> RtlFixer<L> {
     }
 
     /// Runs one fixing episode over `source` for `problem`.
+    ///
+    /// The episode copies no text it does not return: the compile log is
+    /// read in place by the retrieval query and the model's feedback, and
+    /// the trace keeps handles to the compile outcomes and the guidance the
+    /// model saw (see [`crate::trace`]).
     pub fn fix_problem(&mut self, problem: &str, source: &str) -> FixOutcome {
         let _episode_span = obs::span(obs::kind::EPISODE);
         // Per-category episode-duration histograms (the `--telemetry`
@@ -310,7 +315,6 @@ impl<L: LanguageModel> RtlFixer<L> {
         obs::counter_add("agent.episodes", 1);
         let mut code =
             if self.prefixer { prefix_fix(source) } else { source.to_owned() };
-        let initial_code = code.clone();
         let mut trace = FixTrace::new();
         let mut degraded = false;
         self.llm.begin_episode();
@@ -322,11 +326,11 @@ impl<L: LanguageModel> RtlFixer<L> {
             &mut degraded,
         );
         let initial_categories = outcome.error_categories();
-        // Kept for distillation: the error shape an eventual success is
+        // Kept for distillation, when a store is wired in: the pre-loop
+        // candidate and its outcome. The error shape an eventual success is
         // filed under is the *initial* failing log (the shape the next
         // episode will see on its first compile).
-        let initial_log =
-            if outcome.success { None } else { Some(outcome.log.clone()) };
+        let initial = self.distilled.is_some().then(|| (code.clone(), Arc::clone(&outcome)));
 
         let mut revisions = 0usize;
         let budget = self.strategy.revision_budget();
@@ -335,106 +339,44 @@ impl<L: LanguageModel> RtlFixer<L> {
             // RAG stage: retrieve guidance keyed on the compiler log. A
             // panicking retriever degrades the episode to RAG-off for this
             // turn instead of aborting it.
-            let guidance: Vec<GuidanceSnippet> = if self.rag {
-                let query = RetrievalQuery::from_log(outcome.log.clone())
-                    .with_identified(outcome.identified.clone());
-                let retrieve_span = obs::span(obs::kind::RETRIEVE);
-                let hits = catch_unwind(AssertUnwindSafe(|| {
-                    self.retriever.retrieve(&self.database, &query)
-                }));
-                drop(retrieve_span);
-                match hits {
-                    Ok(hits) => {
-                        obs::counter_add("rag.retrievals", 1);
-                        // Retrieval-quality telemetry: evidence share and
-                        // the rank of the first trustworthy hit (exact, or
-                        // category-confirmed by the feedback layer).
-                        for hit in &hits {
-                            obs::counter_add(
-                                &format!("rag.hits.{}", hit.evidence.slug()),
-                                1,
-                            );
-                        }
-                        if let Some(depth) = hits.iter().position(|h| {
-                            h.exact || query.identified.contains(&h.entry.category.0)
-                        }) {
-                            obs::observe("rag.hit_depth", depth as u64);
-                        }
-                        let mut guidance: Vec<GuidanceSnippet> = hits
-                            .iter()
-                            .map(|h| GuidanceSnippet {
-                                category: h.entry.category.0,
-                                text: h.entry.render_brief(),
-                                demonstration: h.entry.demonstration.clone(),
-                                exact_retrieval: h.exact,
-                                anti_patterns: h.entry.anti_patterns.clone(),
-                            })
-                            .collect();
-                        // Distilled-store lookup: a fingerprint hit is a
-                        // previously successful repair of this exact error
-                        // shape — authoritative, like a tag match.
-                        if let Some(snapshot) = &self.distilled {
-                            if let Some(entry) = snapshot.lookup(&outcome.log) {
-                                obs::counter_add("rag.hits.distilled", 1);
-                                let (_, anti) = category_brief(entry.category.0);
-                                guidance.push(GuidanceSnippet {
-                                    category: entry.category.0,
-                                    text: entry.guidance.clone(),
-                                    demonstration: None,
-                                    exact_retrieval: true,
-                                    anti_patterns: anti
-                                        .iter()
-                                        .map(|s| (*s).to_owned())
-                                        .collect(),
-                                });
-                            }
-                        }
-                        if !guidance.is_empty() {
-                            let obs_lines: Vec<&str> =
-                                guidance.iter().map(|g| g.text.as_str()).collect();
-                            trace.push(
-                                "Search the expert guidance database for this error.",
-                                Action::Rag { query: outcome.log.clone() },
-                                obs_lines.join("\n"),
-                            );
-                        }
-                        guidance
-                    }
-                    Err(_) => {
-                        degraded = true;
-                        trace.push(
-                            "The retrieval service failed; continuing without guidance.",
-                            Action::Fault { kind: "retriever-error".into() },
-                            "",
-                        );
-                        Vec::new()
-                    }
-                }
+            let guidance = if self.rag {
+                self.retrieve(&outcome, &mut trace, &mut degraded)
             } else {
                 Vec::new()
             };
 
+            // The request borrows the outcome's feedback and the guidance;
+            // the candidate code moves in and back out, and a delivered
+            // revision replaces it below.
             let request = RepairRequest {
-                code: code.clone(),
-                problem: problem.to_owned(),
+                code: std::mem::take(&mut code),
+                problem,
                 feedback: Feedback {
-                    log: outcome.log.clone(),
-                    identified: outcome.identified.clone(),
+                    log: &outcome.log,
+                    identified: &outcome.identified,
                     informativeness: self.compiler.quality().informativeness,
                 },
-                guidance,
+                guidance: &guidance,
                 style: self.strategy.prompt_style(),
                 attempt: revisions,
             };
             let model_span = obs::span(obs::kind::MODEL);
             let turn = self.llm.propose_repair_turn(&request);
             drop(model_span);
+            code = request.code;
+            if !guidance.is_empty() {
+                trace.push(
+                    "Search the expert guidance database for this error.",
+                    Action::Rag { query: TraceText::Log(Arc::clone(&outcome)) },
+                    TraceText::Guidance(guidance),
+                );
+            }
             degraded |= turn.is_degraded();
             for event in &turn.events {
                 match event {
                     TurnEvent::Fault { kind, .. } => trace.push(
                         "A fault struck the model call.",
-                        Action::Fault { kind: kind.slug().into() },
+                        Action::Fault { kind: kind.slug() },
                         "",
                     ),
                     TurnEvent::Retry { backoff_ms, .. } => trace.push(
@@ -444,7 +386,7 @@ impl<L: LanguageModel> RtlFixer<L> {
                     ),
                     TurnEvent::CircuitOpen => trace.push(
                         "The circuit breaker is open; no model call is made.",
-                        Action::Fault { kind: "circuit-open".into() },
+                        Action::Fault { kind: "circuit-open" },
                         "",
                     ),
                 }
@@ -507,16 +449,19 @@ impl<L: LanguageModel> RtlFixer<L> {
         if degraded {
             obs::counter_add("agent.episodes.degraded", 1);
         }
-        let episode_us = episode_start
-            .map(|start| u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX));
-        for category in &initial_categories {
-            obs::counter_add(&format!("agent.episodes.by_category.{category}"), 1);
-            obs::counter_add(
-                &format!("agent.revisions.by_category.{category}"),
-                revisions as u64,
-            );
-            if let Some(us) = episode_us {
-                obs::observe(&format!("span.episode.by_category.{category}.us"), us);
+        if obs::enabled() {
+            // Per-category names exist only when something records them.
+            let episode_us = episode_start
+                .map(|start| u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX));
+            for category in &initial_categories {
+                obs::counter_add(&format!("agent.episodes.by_category.{category}"), 1);
+                obs::counter_add(
+                    &format!("agent.revisions.by_category.{category}"),
+                    revisions as u64,
+                );
+                if let Some(us) = episode_us {
+                    obs::observe(&format!("span.episode.by_category.{category}.us"), us);
+                }
             }
         }
 
@@ -524,17 +469,17 @@ impl<L: LanguageModel> RtlFixer<L> {
         // reusable brief filed under the initial error shape. Captured into
         // the outcome only — the caller merges at its pool barrier so the
         // result stays bit-identical at any `--jobs`.
-        let distilled = match (&self.distilled, &initial_log) {
-            (Some(_), Some(log)) if outcome.success && revisions > 0 => {
+        let distilled = match &initial {
+            Some((initial_code, initial_outcome)) if outcome.success && revisions > 0 => {
                 let category = initial_categories
                     .first()
                     .copied()
                     .unwrap_or(ErrorCategory::SyntaxError);
                 vec![DistilledEntry::from_episode(
-                    log,
+                    &initial_outcome.log,
                     category,
                     revisions,
-                    changed_line_count(&initial_code, &code),
+                    changed_line_count(initial_code, &code),
                 )]
             }
             _ => Vec::new(),
@@ -553,6 +498,71 @@ impl<L: LanguageModel> RtlFixer<L> {
         }
     }
 
+    /// The RAG stage of one turn: guidance for `outcome`'s log from the
+    /// database, plus the distilled store's brief for its error shape. A
+    /// panicking retriever records a fault step and yields no guidance.
+    fn retrieve(
+        &self,
+        outcome: &CompileOutcome,
+        trace: &mut FixTrace,
+        degraded: &mut bool,
+    ) -> Vec<GuidanceSnippet> {
+        let query = RetrievalQuery::from_log(outcome.log.as_str())
+            .with_identified(outcome.identified.as_slice());
+        let retrieve_span = obs::span(obs::kind::RETRIEVE);
+        let hits = catch_unwind(AssertUnwindSafe(|| {
+            self.retriever.retrieve(&self.database, &query)
+        }));
+        drop(retrieve_span);
+        let Ok(hits) = hits else {
+            *degraded = true;
+            trace.push(
+                "The retrieval service failed; continuing without guidance.",
+                Action::Fault { kind: "retriever-error" },
+                "",
+            );
+            return Vec::new();
+        };
+        obs::counter_add("rag.retrievals", 1);
+        if obs::enabled() {
+            // Retrieval-quality telemetry: evidence share and the rank of
+            // the first trustworthy hit (exact, or category-confirmed by
+            // the feedback layer).
+            for hit in &hits {
+                obs::counter_add(hit.evidence.counter(), 1);
+            }
+            if let Some(depth) = hits
+                .iter()
+                .position(|h| h.exact || query.identified.contains(&h.entry.category.0))
+            {
+                obs::observe("rag.hit_depth", depth as u64);
+            }
+        }
+        // Each hit shares its entry's brief, rendered once per database.
+        let mut guidance: Vec<GuidanceSnippet> = hits
+            .iter()
+            .map(|hit| GuidanceSnippet {
+                category: hit.entry.category.0,
+                text: Arc::clone(self.database.brief(hit.index)),
+                exact_retrieval: hit.exact,
+                has_anti_patterns: !hit.entry.anti_patterns.is_empty(),
+            })
+            .collect();
+        // Distilled-store lookup: a fingerprint hit is a previously
+        // successful repair of this exact error shape — authoritative,
+        // like a tag match.
+        if let Some(entry) = self.distilled.as_ref().and_then(|s| s.lookup(&outcome.log)) {
+            obs::counter_add(Evidence::Distilled.counter(), 1);
+            guidance.push(GuidanceSnippet {
+                category: entry.category.0,
+                text: Arc::clone(&entry.guidance),
+                exact_retrieval: true,
+                has_anti_patterns: !category_brief(entry.category.0).1.is_empty(),
+            });
+        }
+        guidance
+    }
+
     /// One compile with compiler-side fault handling.
     ///
     /// Cached compile: across episodes (and pool workers) identical
@@ -564,7 +574,7 @@ impl<L: LanguageModel> RtlFixer<L> {
     fn compile_checked(
         &mut self,
         code: &str,
-        thought: &str,
+        thought: &'static str,
         trace: &mut FixTrace,
         degraded: &mut bool,
     ) -> Arc<CompileOutcome> {
@@ -577,7 +587,7 @@ impl<L: LanguageModel> RtlFixer<L> {
                     *degraded = true;
                     trace.push(
                         "The compiler job died before producing a verdict.",
-                        Action::Fault { kind: FaultKind::CompilerCrash.slug().into() },
+                        Action::Fault { kind: FaultKind::CompilerCrash.slug() },
                         faults::crash_log(),
                     );
                     if crashes < 2 {
@@ -603,17 +613,18 @@ impl<L: LanguageModel> RtlFixer<L> {
                     let mut out = (*base).clone();
                     out.log = self.faults.garble_log(&out.log);
                     out.identified.clear();
+                    let out = Arc::new(out);
                     trace.push(
                         "The compiler log arrived corrupted; no error tag is legible.",
-                        Action::Fault { kind: FaultKind::GarbledLog.slug().into() },
-                        out.log.clone(),
+                        Action::Fault { kind: FaultKind::GarbledLog.slug() },
+                        TraceText::Log(Arc::clone(&out)),
                     );
-                    break Arc::new(out);
+                    break out;
                 }
                 _ => break self.compiler.compile_cached(code, "main.sv"),
             }
         };
-        trace.push(thought, Action::Compiler, outcome.log.clone());
+        trace.push(thought, Action::Compiler, TraceText::Log(Arc::clone(&outcome)));
         outcome
     }
 }
@@ -974,7 +985,7 @@ mod tests {
         fn retrieve<'a>(
             &self,
             _db: &'a GuidanceDatabase,
-            _query: &RetrievalQuery,
+            _query: &RetrievalQuery<'_>,
         ) -> Vec<rtlfixer_rag::Retrieved<'a>> {
             panic!("retrieval backend fell over")
         }
@@ -997,7 +1008,7 @@ mod tests {
             .trace
             .steps
             .iter()
-            .filter(|s| s.action == Action::Fault { kind: "retriever-error".into() })
+            .filter(|s| s.action == Action::Fault { kind: "retriever-error" })
             .count();
         assert!(retriever_faults >= 1, "trace:\n{}", outcome.trace);
         // No guidance ever reached the model, so no RAG step either.
@@ -1035,7 +1046,7 @@ mod tests {
                 .trace
                 .steps
                 .iter()
-                .any(|s| s.action == Action::Fault { kind: "garbled-log".into() }),
+                .any(|s| s.action == Action::Fault { kind: "garbled-log" }),
             "trace:\n{}",
             outcome.trace
         );

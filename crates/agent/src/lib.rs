@@ -9,7 +9,8 @@
 //! * [`prefixer`] — the rule-based pre-fixer applied to every candidate
 //!   (§4 Setup).
 //! * [`prompts`] — the Figure 2 prompt templates.
-//! * [`trace`] — Thought/Action/Observation episode records (Figure 2c).
+//! * [`trace`] — Thought/Action/Observation episode records (Figure 2c),
+//!   held as handles and rendered only when read.
 //!
 //! ## Example
 //!
@@ -41,4 +42,4 @@ pub mod prompts;
 pub mod trace;
 
 pub use fixer::{FixOutcome, RtlFixer, RtlFixerBuilder, Strategy};
-pub use trace::{Action, FixTrace, Step};
+pub use trace::{Action, FixTrace, Step, TraceText};

@@ -1,7 +1,102 @@
 //! ReAct episode traces: the Thought / Action / Observation record of one
 //! debugging episode, rendered in the style of the paper's Figure 2c.
+//!
+//! A step stores handles, not text: a fixed thought is a `&'static str`, a
+//! compiler observation is the episode's shared [`CompileOutcome`], and a
+//! RAG observation is the guidance the model was shown, whose briefs the
+//! database rendered once. Text is built only where a reader asks for it —
+//! [`FixTrace`]'s `Display` and the serve daemon's wire events — so batch
+//! experiments, which read only the verdict, never pay for it.
 
+use std::borrow::Cow;
 use std::fmt;
+use std::sync::Arc;
+
+use rtlfixer_compilers::CompileOutcome;
+use rtlfixer_llm::GuidanceSnippet;
+
+/// The text of a trace step's thought, observation or RAG query, held as a
+/// handle to where it already lives. Two texts are equal when they render
+/// equally.
+#[derive(Clone)]
+pub enum TraceText {
+    /// A fixed string (the agent's own thoughts, fixed observations).
+    Static(&'static str),
+    /// Text built for this step (the model's reasoning, retry notes).
+    Owned(String),
+    /// The rendered log of a compile outcome, shared with the compile
+    /// cache (or the episode's garbled copy of it).
+    Log(Arc<CompileOutcome>),
+    /// Retrieved guidance: each snippet's text on its own, joined by
+    /// newlines.
+    Guidance(Vec<GuidanceSnippet>),
+}
+
+impl TraceText {
+    /// The text, borrowed except for guidance, which is joined on demand.
+    pub fn as_str(&self) -> Cow<'_, str> {
+        match self {
+            TraceText::Static(text) => Cow::Borrowed(text),
+            TraceText::Owned(text) => Cow::Borrowed(text),
+            TraceText::Log(outcome) => Cow::Borrowed(&outcome.log),
+            TraceText::Guidance(snippets) => {
+                let texts: Vec<&str> = snippets.iter().map(|s| &*s.text).collect();
+                Cow::Owned(texts.join("\n"))
+            }
+        }
+    }
+
+    /// Whether the text is empty.
+    pub fn is_empty(&self) -> bool {
+        match self {
+            TraceText::Static(text) => text.is_empty(),
+            TraceText::Owned(text) => text.is_empty(),
+            TraceText::Log(outcome) => outcome.log.is_empty(),
+            TraceText::Guidance(snippets) => match snippets.as_slice() {
+                [] => true,
+                [only] => only.text.is_empty(),
+                _ => false,
+            },
+        }
+    }
+
+    /// Whether the text contains `pattern`.
+    pub fn contains(&self, pattern: &str) -> bool {
+        self.as_str().contains(pattern)
+    }
+}
+
+impl From<&'static str> for TraceText {
+    fn from(text: &'static str) -> Self {
+        TraceText::Static(text)
+    }
+}
+
+impl From<String> for TraceText {
+    fn from(text: String) -> Self {
+        TraceText::Owned(text)
+    }
+}
+
+impl fmt::Display for TraceText {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.as_str())
+    }
+}
+
+impl fmt::Debug for TraceText {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&*self.as_str(), f)
+    }
+}
+
+impl PartialEq for TraceText {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_str() == other.as_str()
+    }
+}
+
+impl Eq for TraceText {}
 
 /// One ReAct action (Figure 2b's action space).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -10,8 +105,8 @@ pub enum Action {
     Compiler,
     /// `RAG[logs]` — retrieve expert guidance for a compiler log.
     Rag {
-        /// The log excerpt used as the retrieval query.
-        query: String,
+        /// The log used as the retrieval query.
+        query: TraceText,
     },
     /// Revise the code (the model's edit between compiler calls).
     Revise,
@@ -19,7 +114,7 @@ pub enum Action {
     /// log, retriever failure, open circuit breaker, …).
     Fault {
         /// The fault kind's stable slug (`timeout`, `compiler-crash`, …).
-        kind: String,
+        kind: &'static str,
     },
     /// The resilience layer retried after a fault.
     Retry,
@@ -32,7 +127,7 @@ impl fmt::Display for Action {
         match self {
             Action::Compiler => write!(f, "Compiler"),
             Action::Rag { query } => {
-                let excerpt: String = query.chars().take(48).collect();
+                let excerpt: String = query.as_str().chars().take(48).collect();
                 write!(f, "RAG[..{excerpt}..]")
             }
             Action::Revise => write!(f, "Revise"),
@@ -47,11 +142,11 @@ impl fmt::Display for Action {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Step {
     /// The model's reasoning for this step.
-    pub thought: String,
+    pub thought: TraceText,
     /// The chosen action.
     pub action: Action,
     /// The observation the action produced (compiler log, guidance, …).
-    pub observation: String,
+    pub observation: TraceText,
 }
 
 /// The full trace of one fixing episode.
@@ -68,12 +163,13 @@ impl FixTrace {
     }
 
     /// Appends a step.
-    pub fn push(&mut self, thought: impl Into<String>, action: Action, observation: impl Into<String>) {
-        self.steps.push(Step {
-            thought: thought.into(),
-            action,
-            observation: observation.into(),
-        });
+    pub fn push(
+        &mut self,
+        thought: impl Into<TraceText>,
+        action: Action,
+        observation: impl Into<TraceText>,
+    ) {
+        self.steps.push(Step { thought: thought.into(), action, observation: observation.into() });
     }
 
     /// Number of compiler interactions in the trace.
@@ -118,6 +214,8 @@ impl fmt::Display for FixTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rtlfixer_compilers::CompilerKind;
+    use rtlfixer_verilog::diag::ErrorCategory;
 
     #[test]
     fn counts_by_action_kind() {
@@ -126,7 +224,7 @@ mod tests {
         trace.push("look it up", Action::Rag { query: "l-value".into() }, "use assign");
         trace.push("revise", Action::Revise, "");
         trace.push("compile again", Action::Compiler, "ok");
-        trace.push("the API timed out", Action::Fault { kind: "timeout".into() }, "");
+        trace.push("the API timed out", Action::Fault { kind: "timeout" }, "");
         trace.push("retrying", Action::Retry, "");
         trace.push("done", Action::Finish, "");
         assert_eq!(trace.compiler_calls(), 2);
@@ -137,7 +235,7 @@ mod tests {
 
     #[test]
     fn fault_action_renders_its_kind() {
-        assert_eq!(Action::Fault { kind: "compiler-crash".into() }.to_string(), "Fault[compiler-crash]");
+        assert_eq!(Action::Fault { kind: "compiler-crash" }.to_string(), "Fault[compiler-crash]");
         assert_eq!(Action::Retry.to_string(), "Retry");
     }
 
@@ -154,7 +252,30 @@ mod tests {
 
     #[test]
     fn rag_action_truncates_query() {
-        let action = Action::Rag { query: "x".repeat(200) };
+        let action = Action::Rag { query: "x".repeat(200).into() };
         assert!(action.to_string().len() < 80);
+    }
+
+    #[test]
+    fn handles_render_the_text_they_point_at() {
+        let outcome = Arc::new(CompilerKind::Quartus.build().compile(
+            "module m(output reg q); always @(posedge clk) q <= 1; endmodule",
+            "main.sv",
+        ));
+        let log = TraceText::Log(Arc::clone(&outcome));
+        assert_eq!(log, TraceText::Owned(outcome.log.clone()));
+        assert_eq!(log.to_string(), outcome.log);
+        let snippet = |text: &str| GuidanceSnippet {
+            category: ErrorCategory::UndeclaredIdentifier,
+            text: text.into(),
+            exact_retrieval: true,
+            has_anti_patterns: false,
+        };
+        let guidance = TraceText::Guidance(vec![snippet("first brief"), snippet("second")]);
+        assert_eq!(guidance.to_string(), "first brief\nsecond");
+        assert!(!guidance.is_empty() && guidance.contains("brief\nsecond"));
+        assert!(TraceText::Guidance(Vec::new()).is_empty());
+        assert!(!TraceText::Guidance(vec![snippet(""), snippet("")]).is_empty());
+        assert_eq!(format!("{:?}", TraceText::Static("a\"b")), "\"a\\\"b\"");
     }
 }

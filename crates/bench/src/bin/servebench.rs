@@ -214,8 +214,15 @@ fn run_level(
     (level, seconds)
 }
 
+/// Queue-wait deadline of the coalesce probe's requests. The probe checks
+/// fan-out identity, not latency, so its deadline sits far above the 5 ms
+/// service floor: a probe shed because a loaded host stalled the queue
+/// would say nothing about coalescing.
+const COALESCE_DEADLINE_MS: u64 = 10_000;
+
 /// Coalesce batch: every client submits the identical request; collects
-/// each client's full line stream for the byte-identity check.
+/// each client's full line stream, up to and including its terminal event
+/// (`result`, `shed`, `rejected` or `error`), for the byte-identity check.
 fn run_coalesce_batch(port: u16, clients: usize) -> Vec<Vec<String>> {
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..clients)
@@ -224,8 +231,9 @@ fn run_coalesce_batch(port: u16, clients: usize) -> Vec<Vec<String>> {
                     let mut client = Client::connect(port);
                     let code = broken_module("coalesce_probe");
                     let line = format!(
-                        "{{\"op\":\"fix\",\"code\":{},\"seed\":424242}}",
-                        rtlfixer_obs::json_string(&code)
+                        "{{\"op\":\"fix\",\"code\":{},\"seed\":424242,\"deadline_ms\":{}}}",
+                        rtlfixer_obs::json_string(&code),
+                        COALESCE_DEADLINE_MS
                     );
                     writeln!(client.writer, "{line}").expect("send");
                     client.writer.flush().expect("flush");
@@ -233,9 +241,10 @@ fn run_coalesce_batch(port: u16, clients: usize) -> Vec<Vec<String>> {
                     loop {
                         let mut raw = String::new();
                         assert!(client.reader.read_line(&mut raw).expect("read") > 0);
-                        let done = raw.contains("\"ev\":\"result\"");
+                        let event: Event = serde_json::from_str(raw.trim_end())
+                            .unwrap_or_else(|err| panic!("bad event `{raw}`: {err}"));
                         lines.push(raw.trim_end().to_owned());
-                        if done {
+                        if matches!(event.ev.as_str(), "result" | "shed" | "rejected" | "error") {
                             return lines;
                         }
                     }
@@ -374,6 +383,13 @@ fn main() {
     let coalesce_clients = 6usize;
     let streams = run_coalesce_batch(daemon.port(), coalesce_clients);
     daemon.drain();
+    for stream in &streams {
+        let last = stream.last().map_or("", String::as_str);
+        assert!(
+            last.contains("\"ev\":\"result\""),
+            "a coalesce probe request ended without a result: {last}"
+        );
+    }
     for stream in &streams[1..] {
         assert_eq!(stream, &streams[0], "coalesced responses diverged");
     }

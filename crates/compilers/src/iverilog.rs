@@ -95,7 +95,7 @@ impl IverilogCompiler {
 }
 
 impl Compiler for IverilogCompiler {
-    fn name(&self) -> &str {
+    fn name(&self) -> &'static str {
         "iverilog"
     }
 

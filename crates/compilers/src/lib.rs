@@ -107,7 +107,7 @@ impl CompileOutcome {
 /// style. Object-safe so the agent can hold `Box<dyn Compiler>`.
 pub trait Compiler: Send + Sync {
     /// Tool name as it would appear in a report (`iverilog`, `Quartus`, …).
-    fn name(&self) -> &str;
+    fn name(&self) -> &'static str;
 
     /// Compiles `source` (conceptually written to `file_name`) and returns
     /// the outcome with a rendered log.
@@ -121,13 +121,11 @@ pub trait Compiler: Send + Sync {
     /// already seen, across all workers of the episode pool — collapses to
     /// a shard lookup. Identical for every personality via this default
     /// method; behaviour is bit-identical to `compile` (the cache is
-    /// invisible, see [`rtlfixer_cache::enabled`]).
-    fn compile_cached(&self, source: &str, file_name: &str) -> Arc<CompileOutcome> {
-        let key = (
-            self.name().to_owned(),
-            file_name.to_owned(),
-            rtlfixer_verilog::source_fingerprint(source),
-        );
+    /// invisible, see [`rtlfixer_cache::enabled`]). The file name is a
+    /// `'static` literal so the key borrows both names and a lookup
+    /// allocates nothing.
+    fn compile_cached(&self, source: &str, file_name: &'static str) -> Arc<CompileOutcome> {
+        let key = (self.name(), file_name, rtlfixer_verilog::source_fingerprint(source));
         outcome_cache().get_or_insert_with(key, || Arc::new(self.compile(source, file_name)))
     }
 
@@ -140,7 +138,7 @@ pub trait Compiler: Send + Sync {
 
 /// Key of the process-wide outcome cache: personality name, file name (it
 /// appears verbatim in rendered logs) and source content hash.
-type OutcomeKey = (String, String, u128);
+type OutcomeKey = (&'static str, &'static str, u128);
 
 fn outcome_cache() -> &'static rtlfixer_cache::ShardedCache<OutcomeKey, Arc<CompileOutcome>> {
     static CACHE: std::sync::OnceLock<

@@ -120,7 +120,7 @@ impl QuartusCompiler {
 }
 
 impl Compiler for QuartusCompiler {
-    fn name(&self) -> &str {
+    fn name(&self) -> &'static str {
         "Quartus"
     }
 

@@ -28,7 +28,7 @@ impl SimpleCompiler {
 }
 
 impl Compiler for SimpleCompiler {
-    fn name(&self) -> &str {
+    fn name(&self) -> &'static str {
         "Simple"
     }
 

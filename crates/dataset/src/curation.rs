@@ -6,7 +6,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use rtlfixer_agent::prefixer;
-use rtlfixer_rag::text::jaccard_distance;
+use rtlfixer_rag::text::TokenSet;
 use rtlfixer_verilog::diag::ErrorCategory;
 
 use crate::dbscan::{dbscan, Assignment};
@@ -180,10 +180,12 @@ fn curate_problem(problem: &Problem, seed: u64) -> Vec<SyntaxBenchEntry> {
         return pool;
     }
     // Cluster near-duplicates, keep one representative per cluster plus all
-    // noise points (they are diverse by definition).
+    // noise points (they are diverse by definition). Each candidate is
+    // tokenised once; DBSCAN compares every pair.
+    let token_sets: Vec<TokenSet> = pool.iter().map(|entry| TokenSet::new(&entry.code)).collect();
     let assignment = dbscan(
         pool.len(),
-        |a, b| jaccard_distance(&pool[a].code, &pool[b].code),
+        |a, b| 1.0 - token_sets[a].jaccard(&token_sets[b]),
         EPS,
         MIN_PTS,
     );

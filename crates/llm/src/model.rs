@@ -7,18 +7,21 @@
 //! guidance text. Everything else the model "knows" it must derive from the
 //! code itself.
 
+use std::sync::Arc;
+
 use rtlfixer_verilog::diag::ErrorCategory;
 
 /// Feedback shown to the model for one repair turn. Mirrors what the
-/// prompt template of Figure 2a carries.
-#[derive(Debug, Clone, Default)]
-pub struct Feedback {
+/// prompt template of Figure 2a carries. Borrowed from the compile outcome
+/// the turn answers, so no turn copies the log.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Feedback<'a> {
     /// The rendered compiler log (or the Simple instruction, or empty).
-    pub log: String,
+    pub log: &'a str,
     /// Error categories the log makes identifiable. (A bare `syntax error`
     /// line identifies nothing; a Quartus `Error (10161)` identifies the
     /// undeclared-identifier category.)
-    pub identified: Vec<ErrorCategory>,
+    pub identified: &'a [ErrorCategory],
     /// Informativeness of the feedback source in `[0, 1]`.
     pub informativeness: f64,
 }
@@ -28,18 +31,19 @@ pub struct Feedback {
 pub struct GuidanceSnippet {
     /// The error category the guidance covers.
     pub category: ErrorCategory,
-    /// The rendered guidance text (a full repair brief when the entry
-    /// carries one: diagnostics, grammar hints, repair strategy, avoid).
-    pub text: String,
-    /// Optional demonstration code.
-    pub demonstration: Option<String>,
+    /// The rendered guidance text: a full repair brief for a database
+    /// entry (diagnostics, grammar hints, repair strategy, the "Avoid"
+    /// block and any demonstration), or a distilled entry's guidance.
+    /// Shared with the database or store that rendered it.
+    pub text: Arc<str>,
     /// Whether the snippet came from an exact retrieval hit (an error-tag
     /// match, or a distilled-store fingerprint match). Fuzzy fallback hits
     /// are uncertain matches and count as family-level guidance at best.
     pub exact_retrieval: bool,
-    /// The brief's explicit anti-patterns block ("Avoid" section). Empty
-    /// for legacy guidance without a brief.
-    pub anti_patterns: Vec<String>,
+    /// Whether the guidance carries an explicit anti-patterns block (the
+    /// brief's "Avoid" section). False for legacy guidance without a
+    /// brief.
+    pub has_anti_patterns: bool,
 }
 
 /// Prompting style for a repair turn.
@@ -52,17 +56,21 @@ pub enum PromptStyle {
 }
 
 /// A request for the model to revise erroneous code.
+///
+/// Everything but the code borrows from the episode that issues it: the
+/// problem text, the compile outcome's feedback and the retrieved guidance
+/// are read in place, never copied per turn.
 #[derive(Debug, Clone)]
-pub struct RepairRequest {
+pub struct RepairRequest<'a> {
     /// The current (erroneous) source code.
     pub code: String,
     /// The problem description, included in the prompt template.
-    pub problem: String,
+    pub problem: &'a str,
     /// Compiler (or Simple) feedback.
-    pub feedback: Feedback,
+    pub feedback: Feedback<'a>,
     /// Retrieved guidance snippets (empty when RAG is off or retrieval
     /// missed).
-    pub guidance: Vec<GuidanceSnippet>,
+    pub guidance: &'a [GuidanceSnippet],
     /// Prompting style.
     pub style: PromptStyle,
     /// 0-based attempt number within the episode.
@@ -91,7 +99,7 @@ pub trait LanguageModel: Send {
     fn begin_episode(&mut self);
 
     /// Proposes a revision of the code in `request`.
-    fn propose_repair(&mut self, request: &RepairRequest) -> RepairResponse;
+    fn propose_repair(&mut self, request: &RepairRequest<'_>) -> RepairResponse;
 
     /// Proposes a revision with transport-level outcome reporting.
     ///
@@ -100,7 +108,7 @@ pub trait LanguageModel: Send {
     /// retry / backoff / circuit-breaker semantics so the agent can react
     /// to degraded turns (salvage malformed completions, keep the previous
     /// candidate on exhaustion).
-    fn propose_repair_turn(&mut self, request: &RepairRequest) -> crate::resilient::RepairTurn {
+    fn propose_repair_turn(&mut self, request: &RepairRequest<'_>) -> crate::resilient::RepairTurn {
         crate::resilient::RepairTurn::clean(self.propose_repair(request))
     }
 }

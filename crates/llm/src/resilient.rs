@@ -226,7 +226,7 @@ impl<L: LanguageModel> ResilientModel<L> {
     /// Runs one repair turn: inject faults per the plan, retry transient
     /// ones under the budget, deliver degraded completions for the agent
     /// to salvage, or report exhaustion.
-    pub fn turn(&mut self, request: &RepairRequest) -> RepairTurn {
+    pub fn turn(&mut self, request: &RepairRequest<'_>) -> RepairTurn {
         let mut events = Vec::new();
         if self.breaker_open {
             events.push(TurnEvent::CircuitOpen);
@@ -319,7 +319,7 @@ impl<L: LanguageModel> LanguageModel for ResilientModel<L> {
         self.inner.begin_episode();
     }
 
-    fn propose_repair(&mut self, request: &RepairRequest) -> RepairResponse {
+    fn propose_repair(&mut self, request: &RepairRequest<'_>) -> RepairResponse {
         // Plain-API callers still get graceful degradation: an exhausted
         // turn returns the code unchanged.
         self.turn(request).response.unwrap_or_else(|| RepairResponse {
@@ -330,7 +330,7 @@ impl<L: LanguageModel> LanguageModel for ResilientModel<L> {
         })
     }
 
-    fn propose_repair_turn(&mut self, request: &RepairRequest) -> RepairTurn {
+    fn propose_repair_turn(&mut self, request: &RepairRequest<'_>) -> RepairTurn {
         self.turn(request)
     }
 }
@@ -345,16 +345,12 @@ mod tests {
     const BROKEN: &str = "module m(input [7:0] in, output reg [7:0] out);\n\
                           always @(posedge clk) out <= in;\nendmodule";
 
-    fn request() -> RepairRequest {
+    fn request() -> RepairRequest<'static> {
         RepairRequest {
             code: BROKEN.to_owned(),
-            problem: String::new(),
-            feedback: Feedback {
-                log: String::new(),
-                identified: vec![],
-                informativeness: 0.85,
-            },
-            guidance: Vec::new(),
+            problem: "",
+            feedback: Feedback { log: "", identified: &[], informativeness: 0.85 },
+            guidance: &[],
             style: PromptStyle::React,
             attempt: 0,
         }

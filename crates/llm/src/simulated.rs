@@ -103,7 +103,7 @@ impl SimulatedLlm {
         // what a bare `syntax error` log hides.
         if guidance.iter().any(|g| {
             g.category == ErrorCategory::CStyleConstruct
-                && !g.anti_patterns.is_empty()
+                && g.has_anti_patterns
                 && category == ErrorCategory::SyntaxError
         }) {
             return GuidanceLevel::Family;
@@ -114,7 +114,7 @@ impl SimulatedLlm {
     fn attempt_context(
         &self,
         diag: &Diagnostic,
-        feedback: &Feedback,
+        feedback: &Feedback<'_>,
         guidance: GuidanceLevel,
     ) -> AttemptContext {
         AttemptContext {
@@ -151,7 +151,7 @@ impl LanguageModel for SimulatedLlm {
         self.episode.clear();
     }
 
-    fn propose_repair(&mut self, request: &RepairRequest) -> RepairResponse {
+    fn propose_repair(&mut self, request: &RepairRequest<'_>) -> RepairResponse {
         let mut code = request.code.clone();
         let mut thoughts: Vec<String> = Vec::new();
 
@@ -169,7 +169,7 @@ impl LanguageModel for SimulatedLlm {
             }
             let mut edited = false;
             for diag in analysis.diagnostics.iter().filter(|d| d.is_error()) {
-                let guidance = Self::guidance_level(&request.guidance, diag.category);
+                let guidance = Self::guidance_level(request.guidance, diag.category);
                 let ctx = self.attempt_context(diag, &request.feedback, guidance);
                 let key = Self::error_key(diag);
                 let understands = match self.episode.get(&key) {
@@ -215,12 +215,16 @@ mod tests {
     use super::*;
     use crate::model::PromptStyle;
 
-    fn request(code: &str, identified: Vec<ErrorCategory>, informativeness: f64) -> RepairRequest {
+    fn request(
+        code: &str,
+        identified: &'static [ErrorCategory],
+        informativeness: f64,
+    ) -> RepairRequest<'static> {
         RepairRequest {
             code: code.to_owned(),
-            problem: "test".to_owned(),
-            feedback: Feedback { log: String::new(), identified, informativeness },
-            guidance: Vec::new(),
+            problem: "test",
+            feedback: Feedback { log: "", identified, informativeness },
+            guidance: &[],
             style: PromptStyle::React,
             attempt: 0,
         }
@@ -234,7 +238,7 @@ mod tests {
         // With near-1 probabilities, almost every episode must succeed (a
         // small residual stays stuck by design: the understanding latent is
         // sticky within an episode).
-        let req = request(BROKEN, vec![ErrorCategory::UndeclaredIdentifier], 0.85);
+        let req = request(BROKEN, &[ErrorCategory::UndeclaredIdentifier], 0.85);
         let mut fixed_episodes = 0;
         let episodes = 10;
         for seed in 0..episodes {
@@ -262,7 +266,7 @@ mod tests {
         for seed in 0..50u64 {
             let mut llm = SimulatedLlm::new(Capability::Gpt35Class, seed);
             llm.begin_episode();
-            let req = request(BROKEN, vec![], 0.0); // Simple feedback
+            let req = request(BROKEN, &[], 0.0); // Simple feedback
             let first = llm.propose_repair(&req);
             let first_fixed = rtlfixer_verilog::compile(&first.code).is_ok();
             if first_fixed {
@@ -293,7 +297,7 @@ mod tests {
     fn episode_reset_redraws_latents() {
         let mut llm = SimulatedLlm::new(Capability::Gpt35Class, 3);
         llm.begin_episode();
-        let req = request(BROKEN, vec![ErrorCategory::UndeclaredIdentifier], 0.85);
+        let req = request(BROKEN, &[ErrorCategory::UndeclaredIdentifier], 0.85);
         let _ = llm.propose_repair(&req);
         assert!(!llm.episode.is_empty());
         llm.begin_episode();
@@ -305,7 +309,7 @@ mod tests {
         let mut llm = SimulatedLlm::new(Capability::Gpt35Class, 5);
         llm.begin_episode();
         let clean = "module m(input a, output y); assign y = a; endmodule";
-        let resp = llm.propose_repair(&request(clean, vec![], 0.85));
+        let resp = llm.propose_repair(&request(clean, &[], 0.85));
         assert_eq!(resp.code, clean);
         assert!(resp.thought.contains("compiles cleanly"));
     }
@@ -314,10 +318,9 @@ mod tests {
     fn guidance_matching_covers_index_family() {
         let snippets = vec![GuidanceSnippet {
             category: ErrorCategory::IndexOutOfRange,
-            text: String::new(),
-            demonstration: None,
+            text: "".into(),
             exact_retrieval: true,
-            anti_patterns: Vec::new(),
+            has_anti_patterns: false,
         }];
         assert_eq!(
             SimulatedLlm::guidance_level(&snippets, ErrorCategory::IndexArithmetic),
@@ -333,10 +336,9 @@ mod tests {
         );
         let syntax = vec![GuidanceSnippet {
             category: ErrorCategory::SyntaxError,
-            text: String::new(),
-            demonstration: None,
+            text: "".into(),
             exact_retrieval: true,
-            anti_patterns: Vec::new(),
+            has_anti_patterns: false,
         }];
         assert_eq!(
             SimulatedLlm::guidance_level(&syntax, ErrorCategory::CStyleConstruct),
@@ -349,24 +351,20 @@ mod tests {
         // A C-style brief *with* an anti-patterns block helps a generic
         // syntax diagnostic (the brief names the constructs the log hides);
         // the same guidance without the block does not.
-        let brief = |anti_patterns: Vec<String>| {
+        let brief = |has_anti_patterns: bool| {
             vec![GuidanceSnippet {
                 category: ErrorCategory::CStyleConstruct,
-                text: String::new(),
-                demonstration: None,
+                text: "".into(),
                 exact_retrieval: false,
-                anti_patterns,
+                has_anti_patterns,
             }]
         };
         assert_eq!(
-            SimulatedLlm::guidance_level(
-                &brief(vec!["C-style increments (i++)".to_owned()]),
-                ErrorCategory::SyntaxError
-            ),
+            SimulatedLlm::guidance_level(&brief(true), ErrorCategory::SyntaxError),
             GuidanceLevel::Family
         );
         assert_eq!(
-            SimulatedLlm::guidance_level(&brief(Vec::new()), ErrorCategory::SyntaxError),
+            SimulatedLlm::guidance_level(&brief(false), ErrorCategory::SyntaxError),
             GuidanceLevel::None
         );
     }
@@ -381,7 +379,7 @@ mod tests {
             llm.begin_episode();
             let resp = llm.propose_repair(&request(
                 code,
-                vec![ErrorCategory::SyntaxError, ErrorCategory::UndeclaredIdentifier],
+                &[ErrorCategory::SyntaxError, ErrorCategory::UndeclaredIdentifier],
                 0.85,
             ));
             if rtlfixer_verilog::compile(&resp.code).is_ok() {

@@ -17,7 +17,7 @@ use serde::{Deserialize, Serialize};
 
 use rtlfixer_verilog::diag::ErrorCategory;
 
-use crate::text::TfIdfIndex;
+use crate::text::{TfIdfIndex, TokenSet};
 
 /// Which compiler's log style a database was curated against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -208,9 +208,11 @@ impl<'de> Deserialize<'de> for ErrorCategorySlug {
 /// The guidance database for one compiler edition.
 ///
 /// Its entries are fixed at construction ([`GuidanceDatabase::new`]), so
-/// the TF-IDF index the database owns — built on its first lexical
-/// retrieval, see [`crate::retriever::shared_tfidf_index`] — can never go
-/// stale.
+/// what the database derives from them — the TF-IDF index built on its
+/// first lexical retrieval (see [`crate::retriever::shared_tfidf_index`]),
+/// each entry's exemplar token set, and each entry's rendered repair brief
+/// ([`GuidanceDatabase::brief`]) — is computed once per database and can
+/// never go stale.
 #[derive(Clone)]
 pub struct GuidanceDatabase {
     /// Which compiler this database was curated against.
@@ -218,6 +220,11 @@ pub struct GuidanceDatabase {
     entries: Vec<GuidanceEntry>,
     /// Lexical index over `entries`, filled on the first retrieval.
     pub(crate) tfidf: OnceLock<TfIdfIndex>,
+    /// Token set of each entry's log exemplar, filled on the first Jaccard
+    /// retrieval.
+    exemplar_tokens: OnceLock<Box<[TokenSet]>>,
+    /// Each entry's [`GuidanceEntry::render_brief`], filled on first use.
+    briefs: OnceLock<Box<[Arc<str>]>>,
 }
 
 /// The serialised form: edition and entries, without the derived index.
@@ -266,12 +273,41 @@ fn entry(
 impl GuidanceDatabase {
     /// A database over `entries`, curated against `edition`.
     pub fn new(edition: DatabaseEdition, entries: Vec<GuidanceEntry>) -> Self {
-        GuidanceDatabase { edition, entries, tfidf: OnceLock::new() }
+        GuidanceDatabase {
+            edition,
+            entries,
+            tfidf: OnceLock::new(),
+            exemplar_tokens: OnceLock::new(),
+            briefs: OnceLock::new(),
+        }
     }
 
     /// All entries, in database order.
     pub fn entries(&self) -> &[GuidanceEntry] {
         &self.entries
+    }
+
+    /// The rendered repair brief of the entry at `index` (database order),
+    /// shared: every entry's brief is rendered once per database, the
+    /// first time any is asked for, and each prompt or trace that shows it
+    /// holds a handle instead of a copy.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `index` is out of range.
+    pub fn brief(&self, index: usize) -> &Arc<str> {
+        let briefs = self.briefs.get_or_init(|| {
+            self.entries.iter().map(|entry| Arc::from(entry.render_brief())).collect()
+        });
+        &briefs[index]
+    }
+
+    /// The token set of every entry's log exemplar, in database order,
+    /// built on first use (the Jaccard retriever's side of each
+    /// comparison).
+    pub(crate) fn exemplar_tokens(&self) -> &[TokenSet] {
+        self.exemplar_tokens
+            .get_or_init(|| self.entries.iter().map(|e| TokenSet::new(&e.log_exemplar)).collect())
     }
 
     /// A content fingerprint (FNV-1a over edition and entry texts): two
@@ -755,6 +791,18 @@ mod tests {
         assert_ne!(quartus.fingerprint(), GuidanceDatabase::iverilog().fingerprint());
         let truncated = GuidanceDatabase::new(quartus.edition, quartus.entries()[..10].to_vec());
         assert_ne!(quartus.fingerprint(), truncated.fingerprint());
+    }
+
+    #[test]
+    fn briefs_render_once_per_database() {
+        let db = GuidanceDatabase::quartus();
+        for (index, entry) in db.entries().iter().enumerate() {
+            assert_eq!(**db.brief(index), entry.render_brief());
+        }
+        assert!(Arc::ptr_eq(db.brief(0), db.brief(0)), "one rendering per database");
+        let tokens = db.exemplar_tokens();
+        assert_eq!(tokens.len(), db.entries().len());
+        assert_eq!(tokens[0], TokenSet::new(&db.entries()[0].log_exemplar));
     }
 
     #[test]

@@ -90,8 +90,9 @@ pub struct DistilledEntry {
     pub category: ErrorCategorySlug,
     /// The originating log (truncated), kept as the lexical exemplar.
     pub log_exemplar: String,
-    /// The distilled fix-delta guidance.
-    pub guidance: String,
+    /// The distilled fix-delta guidance, shared with every prompt and
+    /// trace that shows it.
+    pub guidance: Arc<str>,
 }
 
 impl DistilledEntry {
@@ -125,7 +126,7 @@ impl DistilledEntry {
             fingerprint: log_fingerprint(initial_log),
             category: ErrorCategorySlug(category),
             log_exemplar,
-            guidance,
+            guidance: guidance.into(),
         }
     }
 
@@ -137,7 +138,7 @@ impl DistilledEntry {
             category: self.category,
             error_tag: None,
             log_exemplar: self.log_exemplar.clone(),
-            guidance: self.guidance.clone(),
+            guidance: self.guidance.to_string(),
             demonstration: None,
             grammar_hint: grammar_hint.to_owned(),
             anti_patterns: anti_patterns.iter().map(|s| (*s).to_owned()).collect(),

@@ -21,33 +21,39 @@
 //! index never goes stale; a database extended by the distill loop is a
 //! new database with its own index.
 
+use std::borrow::Cow;
+
 use rtlfixer_verilog::diag::ErrorCategory;
 
 use crate::database::{GuidanceDatabase, GuidanceEntry};
-use crate::text::{jaccard_similarity, TfIdfIndex};
+use crate::text::{TfIdfIndex, TokenSet};
 
 /// A retrieval request: the compiler log (the `RAG[logs]` action input in
 /// Figure 2b) plus any structured hints the caller has.
+///
+/// Both fields may borrow: the agent's query reads the compile outcome's
+/// own log and categories instead of copying them every turn.
 #[derive(Debug, Clone, Default)]
-pub struct RetrievalQuery {
+pub struct RetrievalQuery<'a> {
     /// The raw compiler log text.
-    pub log: String,
+    pub log: Cow<'a, str>,
     /// Error categories the caller's feedback layer already identified in
     /// the log (empty when the caller has no structured view). The hybrid
     /// retriever uses these as category evidence; tag and lexical
     /// retrievers ignore them.
-    pub identified: Vec<ErrorCategory>,
+    pub identified: Cow<'a, [ErrorCategory]>,
 }
 
-impl RetrievalQuery {
-    /// Builds a query from a log string.
-    pub fn from_log(log: impl Into<String>) -> Self {
-        RetrievalQuery { log: log.into(), identified: Vec::new() }
+impl<'a> RetrievalQuery<'a> {
+    /// Builds a query from a log string (borrowed or owned).
+    pub fn from_log(log: impl Into<Cow<'a, str>>) -> Self {
+        RetrievalQuery { log: log.into(), identified: Cow::Borrowed(&[]) }
     }
 
-    /// Attaches the caller's identified error categories.
-    pub fn with_identified(mut self, identified: Vec<ErrorCategory>) -> Self {
-        self.identified = identified;
+    /// Attaches the caller's identified error categories (borrowed or
+    /// owned).
+    pub fn with_identified(mut self, identified: impl Into<Cow<'a, [ErrorCategory]>>) -> Self {
+        self.identified = identified.into();
         self
     }
 
@@ -113,13 +119,14 @@ pub enum Evidence {
 }
 
 impl Evidence {
-    /// Stable slug for counters and reports.
-    pub fn slug(self) -> &'static str {
+    /// The telemetry counter of hits backed by this evidence, spelled out
+    /// so no hit builds a name.
+    pub fn counter(self) -> &'static str {
         match self {
-            Evidence::Exact => "exact",
-            Evidence::Category => "category",
-            Evidence::Lexical => "lexical",
-            Evidence::Distilled => "distilled",
+            Evidence::Exact => "rag.hits.exact",
+            Evidence::Category => "rag.hits.category",
+            Evidence::Lexical => "rag.hits.lexical",
+            Evidence::Distilled => "rag.hits.distilled",
         }
     }
 }
@@ -129,6 +136,9 @@ impl Evidence {
 pub struct Retrieved<'a> {
     /// The matched database entry.
     pub entry: &'a GuidanceEntry,
+    /// The entry's position in the database (its
+    /// [`GuidanceDatabase::brief`] index).
+    pub index: usize,
     /// Retriever-specific score (1.0 for exact tag matches).
     pub score: f64,
     /// Whether this hit came from an exact error-tag match. Fuzzy and
@@ -149,7 +159,7 @@ pub trait Retriever: Send + Sync {
     fn retrieve<'a>(
         &self,
         db: &'a GuidanceDatabase,
-        query: &RetrievalQuery,
+        query: &RetrievalQuery<'_>,
     ) -> Vec<Retrieved<'a>>;
 }
 
@@ -174,7 +184,7 @@ impl Retriever for ExactTagRetriever {
     fn retrieve<'a>(
         &self,
         db: &'a GuidanceDatabase,
-        query: &RetrievalQuery,
+        query: &RetrievalQuery<'_>,
     ) -> Vec<Retrieved<'a>> {
         let tags = query.tags();
         if tags.is_empty() {
@@ -184,19 +194,21 @@ impl Retriever for ExactTagRetriever {
         // prompt leads with the first-reported (usually root-cause)
         // diagnostic, not with whichever entry sits earliest in the
         // database. Stable sort keeps database order within one tag.
-        let mut hits: Vec<(usize, &GuidanceEntry)> = db
+        let mut hits: Vec<(usize, usize, &GuidanceEntry)> = db
             .entries()
             .iter()
-            .filter_map(|e| {
+            .enumerate()
+            .filter_map(|(index, e)| {
                 let tag = e.error_tag?;
                 let rank = tags.iter().position(|&t| t == tag)?;
-                Some((rank, e))
+                Some((rank, index, e))
             })
             .collect();
-        hits.sort_by_key(|&(rank, _)| rank);
+        hits.sort_by_key(|&(rank, _, _)| rank);
         hits.into_iter()
-            .map(|(_, entry)| Retrieved {
+            .map(|(_, index, entry)| Retrieved {
                 entry,
+                index,
                 score: 1.0,
                 exact: true,
                 evidence: Evidence::Exact,
@@ -206,7 +218,8 @@ impl Retriever for ExactTagRetriever {
 }
 
 /// Fuzzy retriever: Jaccard similarity between the query log and each
-/// entry's stored log exemplar.
+/// entry's stored log exemplar. The log is tokenised once per call, and
+/// each exemplar's token set once per database.
 #[derive(Debug, Clone, Copy)]
 pub struct JaccardRetriever {
     /// Minimum similarity to count as a match.
@@ -236,14 +249,18 @@ impl Retriever for JaccardRetriever {
     fn retrieve<'a>(
         &self,
         db: &'a GuidanceDatabase,
-        query: &RetrievalQuery,
+        query: &RetrievalQuery<'_>,
     ) -> Vec<Retrieved<'a>> {
+        let query = TokenSet::new(&query.log);
         let mut scored: Vec<Retrieved<'a>> = db
             .entries()
             .iter()
-            .map(|entry| Retrieved {
+            .zip(db.exemplar_tokens())
+            .enumerate()
+            .map(|(index, (entry, tokens))| Retrieved {
                 entry,
-                score: jaccard_similarity(&query.log, &entry.log_exemplar),
+                index,
+                score: query.jaccard(tokens),
                 exact: false,
                 evidence: Evidence::Lexical,
             })
@@ -306,14 +323,15 @@ impl Retriever for TfIdfRetriever {
     fn retrieve<'a>(
         &self,
         db: &'a GuidanceDatabase,
-        query: &RetrievalQuery,
+        query: &RetrievalQuery<'_>,
     ) -> Vec<Retrieved<'a>> {
         shared_tfidf_index(db)
             .top_k(&query.log, self.top_k)
             .into_iter()
             .filter(|(_, score)| *score >= self.threshold)
-            .map(|(i, score)| Retrieved {
-                entry: &db.entries()[i],
+            .map(|(index, score)| Retrieved {
+                entry: &db.entries()[index],
+                index,
                 score,
                 exact: false,
                 evidence: Evidence::Lexical,
@@ -376,7 +394,7 @@ impl Retriever for HybridRetriever {
     fn retrieve<'a>(
         &self,
         db: &'a GuidanceDatabase,
-        query: &RetrievalQuery,
+        query: &RetrievalQuery<'_>,
     ) -> Vec<Retrieved<'a>> {
         let tags = query.tags();
         // Every entry's cosine from one pass over the log's own terms.
@@ -409,7 +427,7 @@ impl Retriever for HybridRetriever {
                 Evidence::Lexical
             };
             candidates.push(Candidate {
-                hit: Retrieved { entry, score, exact, evidence },
+                hit: Retrieved { entry, index: db_index, score, exact, evidence },
                 tag_rank: tag_rank.unwrap_or(usize::MAX),
                 db_index,
             });
@@ -473,7 +491,7 @@ impl Retriever for DefaultRetriever {
     fn retrieve<'a>(
         &self,
         db: &'a GuidanceDatabase,
-        query: &RetrievalQuery,
+        query: &RetrievalQuery<'_>,
     ) -> Vec<Retrieved<'a>> {
         let exact = self.exact.retrieve(db, query);
         if !exact.is_empty() {

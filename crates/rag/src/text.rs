@@ -1,7 +1,7 @@
 //! Text utilities shared by the retrievers and (via this crate) the dataset
 //! curation pipeline: tokenisation, Jaccard similarity and TF-IDF cosine.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// Splits text into lowercase alphanumeric tokens; numbers survive as
 /// tokens so error tags like `10161` are matchable.
@@ -9,19 +9,101 @@ pub fn tokenize(text: &str) -> Vec<String> {
     tokens(&text.to_ascii_lowercase()).map(str::to_owned).collect()
 }
 
-/// The tokens of already-lowercased text, borrowed from it: runs of ASCII
-/// alphanumerics and `_`, split at every other character.
+/// Whether `byte` belongs to a token: ASCII alphanumerics and `_`. Every
+/// other byte, including each byte of a non-ASCII character, separates
+/// tokens.
+fn is_token_byte(byte: u8) -> bool {
+    byte.is_ascii_alphanumeric() || byte == b'_'
+}
+
+/// The tokens of already-lowercased text, borrowed from it: maximal runs
+/// of token bytes, found by one scan over the bytes. A run starts and ends
+/// next to ASCII bytes, so every slice falls on character boundaries.
 fn tokens(lowered: &str) -> impl Iterator<Item = &str> {
-    lowered
-        .split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
-        .filter(|token| !token.is_empty())
+    let bytes = lowered.as_bytes();
+    let mut pos = 0;
+    std::iter::from_fn(move || {
+        while pos < bytes.len() && !is_token_byte(bytes[pos]) {
+            pos += 1;
+        }
+        if pos == bytes.len() {
+            return None;
+        }
+        let start = pos;
+        while pos < bytes.len() && is_token_byte(bytes[pos]) {
+            pos += 1;
+        }
+        Some(&lowered[start..pos])
+    })
+}
+
+/// A token's first 8 bytes as a big-endian integer, zero-padded. Tokens
+/// hold no zero byte, so comparing keys orders tokens as strings do, up to
+/// ties between tokens that share their first 8 bytes.
+fn prefix_key(token: &str) -> u64 {
+    let mut key = [0u8; 8];
+    let len = token.len().min(8);
+    key[..len].copy_from_slice(&token.as_bytes()[..len]);
+    u64::from_be_bytes(key)
+}
+
+/// The tokens of already-lowercased text in lexicographic order, repeats
+/// kept. The sort compares one integer per token and falls back to the
+/// strings only on equal prefixes.
+fn sorted_tokens(lowered: &str) -> Vec<&str> {
+    let mut keyed: Vec<(u64, &str)> = tokens(lowered).map(|t| (prefix_key(t), t)).collect();
+    keyed.sort_unstable_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(b.1)));
+    keyed.into_iter().map(|(_, token)| token).collect()
+}
+
+/// The distinct tokens of a text, sorted: the operand of Jaccard
+/// similarity, built once per text so comparing two sets is one merge
+/// walk. The guidance database keeps one per entry exemplar, and dataset
+/// curation one per pooled candidate.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct TokenSet {
+    tokens: Vec<Box<str>>,
+}
+
+impl TokenSet {
+    /// The token set of `text` (tokenised as [`tokenize`] does).
+    pub fn new(text: &str) -> Self {
+        let lowered = text.to_ascii_lowercase();
+        let mut tokens = sorted_tokens(&lowered);
+        tokens.dedup();
+        TokenSet { tokens: tokens.into_iter().map(Box::from).collect() }
+    }
+
+    /// Jaccard similarity to `other` (see [`jaccard_similarity`]): the
+    /// shared token count over the union count, 1 for two empty sets.
+    pub fn jaccard(&self, other: &TokenSet) -> f64 {
+        let (a, b) = (&self.tokens, &other.tokens);
+        if a.is_empty() && b.is_empty() {
+            return 1.0;
+        }
+        let (mut i, mut j, mut shared) = (0, 0, 0usize);
+        while i < a.len() && j < b.len() {
+            match a[i].cmp(&b[j]) {
+                std::cmp::Ordering::Less => i += 1,
+                std::cmp::Ordering::Greater => j += 1,
+                std::cmp::Ordering::Equal => {
+                    shared += 1;
+                    i += 1;
+                    j += 1;
+                }
+            }
+        }
+        let union = a.len() + b.len() - shared;
+        shared as f64 / union as f64
+    }
 }
 
 /// Jaccard similarity of the token *sets* of two texts, in `[0, 1]`.
 ///
 /// This is the distance the paper uses both for fuzzy retrieval and for the
 /// DBSCAN clustering of the VerilogEval-syntax dataset (Jaccard distance =
-/// `1 - similarity`).
+/// `1 - similarity`). Callers comparing one text many times build its
+/// [`TokenSet`] once instead.
 ///
 /// # Examples
 ///
@@ -33,14 +115,7 @@ fn tokens(lowered: &str) -> impl Iterator<Item = &str> {
 /// assert!((jaccard_similarity("a b c", "b c d") - 0.5).abs() < 1e-9);
 /// ```
 pub fn jaccard_similarity(a: &str, b: &str) -> f64 {
-    let sa: HashSet<String> = tokenize(a).into_iter().collect();
-    let sb: HashSet<String> = tokenize(b).into_iter().collect();
-    if sa.is_empty() && sb.is_empty() {
-        return 1.0;
-    }
-    let inter = sa.intersection(&sb).count() as f64;
-    let union = sa.union(&sb).count() as f64;
-    inter / union
+    TokenSet::new(a).jaccard(&TokenSet::new(b))
 }
 
 /// Jaccard distance (`1 - similarity`).
@@ -140,8 +215,7 @@ impl TfIdfIndex {
     /// idf 1 in the query norm.
     pub fn scores(&self, query: &str) -> Vec<f64> {
         let lowered = query.to_ascii_lowercase();
-        let mut query_terms: Vec<&str> = tokens(&lowered).collect();
-        query_terms.sort_unstable();
+        let query_terms = sorted_tokens(&lowered);
         let mut dots = vec![-0.0f64; self.norms.len()];
         let mut query_sq = -0.0f64;
         for run in query_terms.chunk_by(|a, b| a == b) {
@@ -180,6 +254,34 @@ mod tests {
             tokenize("Error (10161): top_module \"clk\""),
             vec!["error", "10161", "top_module", "clk"]
         );
+    }
+
+    #[test]
+    fn sorted_tokens_match_a_string_sort() {
+        let texts = [
+            "",
+            "error (10161): object \"clk\" is not declared",
+            "abcdefgh abcdefghi abcdefg abcdefgh_ abcdefgh0 abcdefgh abc",
+            "caf\u{e9}_x \u{1F600}y z\u{e9}z 12 1 123456789 12345678",
+            "____ ___ _ a_ _a zz z zzzzzzzzz zzzzzzzz",
+        ];
+        for text in texts {
+            let lowered = text.to_ascii_lowercase();
+            let mut expected: Vec<&str> = lowered
+                .split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+                .filter(|token| !token.is_empty())
+                .collect();
+            expected.sort_unstable();
+            assert_eq!(sorted_tokens(&lowered), expected, "{text:?}");
+        }
+    }
+
+    #[test]
+    fn token_sets_compare_like_the_text_similarity() {
+        let a = TokenSet::new("Index out[8] is out of range");
+        let b = TokenSet::new("index 8 cannot fall outside range");
+        assert_eq!(a.jaccard(&b), 3.0 / 9.0);
+        assert_eq!(TokenSet::new("").jaccard(&TokenSet::default()), 1.0);
     }
 
     #[test]

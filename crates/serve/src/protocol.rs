@@ -248,7 +248,9 @@ pub fn error_line(fp: &str, detail: &str) -> String {
 
 /// Renders a finished episode as its response stream: one `trace` line per
 /// ReAct step, then the `result` line. A pure function of `(fp, outcome)`
-/// — the byte-identity contract for coalesced fan-out.
+/// — the byte-identity contract for coalesced fan-out. The episode stored
+/// its steps as handles (`rtlfixer_agent::TraceText`); their text is
+/// rendered here, once per finished episode, not inside the episode.
 pub fn outcome_lines(fp: &str, outcome: &FixOutcome) -> Vec<String> {
     let mut lines = Vec::with_capacity(outcome.trace.steps.len() + 1);
     for (index, step) in outcome.trace.steps.iter().enumerate() {
@@ -261,8 +263,8 @@ pub fn outcome_lines(fp: &str, outcome: &FixOutcome) -> Vec<String> {
             json_string(fp),
             index + 1,
             json_string(&action),
-            json_string(&step.thought),
-            json_string(&step.observation),
+            json_string(&step.thought.as_str()),
+            json_string(&step.observation.as_str()),
         ));
     }
     lines.push(format!(
