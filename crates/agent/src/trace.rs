@@ -46,18 +46,39 @@ impl TraceText {
         }
     }
 
+    /// Calls `piece` with the text in consecutive pieces whose concatenation
+    /// is [`TraceText::as_str`]: guidance comes snippet by snippet with the
+    /// newlines between them, so a writer copies it without joining.
+    pub fn for_each_piece(&self, mut piece: impl FnMut(&str)) {
+        match self {
+            TraceText::Guidance(snippets) => {
+                for (index, snippet) in snippets.iter().enumerate() {
+                    if index > 0 {
+                        piece("\n");
+                    }
+                    piece(&snippet.text);
+                }
+            }
+            other => piece(&other.as_str()),
+        }
+    }
+
+    /// The text's length in bytes.
+    pub fn len(&self) -> usize {
+        match self {
+            TraceText::Static(text) => text.len(),
+            TraceText::Owned(text) => text.len(),
+            TraceText::Log(outcome) => outcome.log.len(),
+            TraceText::Guidance(snippets) => {
+                let newlines = snippets.len().saturating_sub(1);
+                snippets.iter().map(|s| s.text.len()).sum::<usize>() + newlines
+            }
+        }
+    }
+
     /// Whether the text is empty.
     pub fn is_empty(&self) -> bool {
-        match self {
-            TraceText::Static(text) => text.is_empty(),
-            TraceText::Owned(text) => text.is_empty(),
-            TraceText::Log(outcome) => outcome.log.is_empty(),
-            TraceText::Guidance(snippets) => match snippets.as_slice() {
-                [] => true,
-                [only] => only.text.is_empty(),
-                _ => false,
-            },
-        }
+        self.len() == 0
     }
 
     /// Whether the text contains `pattern`.
@@ -277,5 +298,13 @@ mod tests {
         assert!(TraceText::Guidance(Vec::new()).is_empty());
         assert!(!TraceText::Guidance(vec![snippet(""), snippet("")]).is_empty());
         assert_eq!(format!("{:?}", TraceText::Static("a\"b")), "\"a\\\"b\"");
+        // Pieces and lengths agree with the joined text for every handle.
+        let empty = TraceText::Guidance(Vec::new());
+        for text in [log, guidance, empty, TraceText::Static("fixed"), "owned".to_owned().into()] {
+            let mut joined = String::new();
+            text.for_each_piece(|piece| joined.push_str(piece));
+            assert_eq!(joined, text.as_str());
+            assert_eq!(text.len(), joined.len());
+        }
     }
 }

@@ -14,7 +14,13 @@
 //!    the uncontended p99, and no request ever sees an `error` event.
 //! 2. **Coalesce batch** — K clients submit the identical request
 //!    concurrently; every response stream must be byte-identical.
-//! 3. **Chaos pass** — `FaultSpec::uniform(0.15)` switched on process-wide
+//! 3. **Bad requests** — a garbage line and an over-long line each get a
+//!    `bad-request` reject (the over-long line's connection is closed), and
+//!    the daemon still serves a fix afterwards.
+//! 4. **Connection flood** — `MAX_CONNECTIONS` open connections, then one
+//!    more: it gets a `too-many-connections` reject, and service resumes
+//!    once a slot frees.
+//! 5. **Chaos pass** — `FaultSpec::uniform(0.15)` switched on process-wide
 //!    (LLM + compiler + server sites). Served results must equal an
 //!    in-process `run_repair` baseline job for job: accepted requests keep
 //!    their fix rate, overload machinery only ever sheds explicitly.
@@ -31,6 +37,7 @@ use serde::Deserialize;
 
 use rtlfixer_bench::{record_run_with, render_table, RunScale};
 use rtlfixer_eval::{run_repair, RepairJob};
+use rtlfixer_serve::server::{MAX_CONNECTIONS, MAX_LINE_BYTES};
 use rtlfixer_serve::{Daemon, ServeConfig};
 
 /// The missing-`clk` archetype: broken as written, fixable by the
@@ -46,6 +53,16 @@ fn broken_module(name: &str) -> String {
 struct Event {
     ev: String,
     success: Option<bool>,
+    reason: Option<String>,
+}
+
+/// Reads one event line; `None` once the daemon closed the connection.
+fn next_event(reader: &mut BufReader<TcpStream>) -> Option<Event> {
+    let mut raw = String::new();
+    if reader.read_line(&mut raw).expect("read event") == 0 {
+        return None;
+    }
+    Some(serde_json::from_str(raw.trim_end()).unwrap_or_else(|err| panic!("bad event `{raw}`: {err}")))
 }
 
 /// How one request ended, as the client saw it.
@@ -78,6 +95,17 @@ impl Client {
 
     fn reconnect(&mut self) {
         *self = Client::connect(self.port);
+    }
+
+    /// Sends raw bytes as they are (no newline added).
+    fn send_raw(&mut self, bytes: &[u8]) {
+        self.writer.write_all(bytes).and_then(|()| self.writer.flush()).expect("send request bytes");
+    }
+
+    /// Whether a `ping` on this connection is answered with `pong`.
+    fn pings(&mut self) -> bool {
+        writeln!(self.writer, "{{\"op\":\"ping\"}}").is_ok()
+            && matches!(next_event(&mut self.reader), Some(event) if event.ev == "pong")
     }
 
     /// Sends one fix request and reads until a terminal event (or EOF).
@@ -214,11 +242,12 @@ fn run_level(
     (level, seconds)
 }
 
-/// Queue-wait deadline of the coalesce probe's requests. The probe checks
-/// fan-out identity, not latency, so its deadline sits far above the 5 ms
-/// service floor: a probe shed because a loaded host stalled the queue
-/// would say nothing about coalescing.
-const COALESCE_DEADLINE_MS: u64 = 10_000;
+/// Queue-wait deadline of the probes' requests (coalescing, bad requests,
+/// connection flood). The probes check fan-out identity and that service
+/// goes on, not latency, so their deadline sits far above the 5 ms service
+/// floor: a probe shed because a loaded host stalled the queue would say
+/// nothing about what it probes.
+const PROBE_DEADLINE_MS: u64 = 10_000;
 
 /// Coalesce batch: every client submits the identical request; collects
 /// each client's full line stream, up to and including its terminal event
@@ -233,7 +262,7 @@ fn run_coalesce_batch(port: u16, clients: usize) -> Vec<Vec<String>> {
                     let line = format!(
                         "{{\"op\":\"fix\",\"code\":{},\"seed\":424242,\"deadline_ms\":{}}}",
                         rtlfixer_obs::json_string(&code),
-                        COALESCE_DEADLINE_MS
+                        PROBE_DEADLINE_MS
                     );
                     writeln!(client.writer, "{line}").expect("send");
                     client.writer.flush().expect("flush");
@@ -253,6 +282,74 @@ fn run_coalesce_batch(port: u16, clients: usize) -> Vec<Vec<String>> {
             .collect();
         handles.into_iter().map(|handle| handle.join().expect("client thread")).collect()
     })
+}
+
+/// How the bad-request probe went: the reject reasons for a garbage line
+/// and an over-long one, and the outcome of a fix sent afterwards.
+struct BadRequests {
+    garbage: String,
+    oversized: String,
+    after: Outcome,
+}
+
+/// Bad-request probe: a garbage line is rejected and its connection keeps
+/// serving; a line over `MAX_LINE_BYTES` is rejected and its connection
+/// closed; a fresh connection is still served.
+fn run_bad_requests(port: u16) -> BadRequests {
+    let reason = |event: Option<Event>| match event {
+        Some(Event { ev, reason: Some(reason), .. }) if ev == "rejected" => reason,
+        other => panic!("expected a rejection, got {other:?}"),
+    };
+    let mut client = Client::connect(port);
+    client.send_raw(b"this is not json\n");
+    let garbage = reason(next_event(&mut client.reader));
+    assert!(client.pings(), "a garbage line must not cost its connection");
+    client.send_raw(&vec![b'x'; MAX_LINE_BYTES + 1]);
+    let oversized = reason(next_event(&mut client.reader));
+    assert!(next_event(&mut client.reader).is_none(), "an over-long line's connection must close");
+    let after = Client::connect(port).fix(&broken_module("after_bad_requests"), 7, Some(PROBE_DEADLINE_MS));
+    BadRequests { garbage, oversized, after }
+}
+
+/// How the connection-flood probe went: the reject reason of the
+/// connection past the cap, how long after a slot freed a new connection
+/// was served, and the outcome of a fix on it.
+struct Flood {
+    refused: String,
+    resumed: Duration,
+    after: Outcome,
+}
+
+/// Connection-flood probe: `MAX_CONNECTIONS` connections, each holding its
+/// slot (a `pong` proves it), then one more, which must be refused; then
+/// one hangs up, and new connections are tried until one is served.
+fn run_connection_flood(port: u16) -> Flood {
+    let mut open: Vec<Client> = (0..MAX_CONNECTIONS)
+        .map(|_| {
+            let mut client = Client::connect(port);
+            assert!(client.pings(), "a connection under the cap must be served");
+            client
+        })
+        .collect();
+    let mut over = Client::connect(port);
+    let refused = match next_event(&mut over.reader) {
+        Some(Event { ev, reason: Some(reason), .. }) if ev == "rejected" => reason,
+        other => panic!("expected the connection past the cap to be refused, got {other:?}"),
+    };
+    assert!(next_event(&mut over.reader).is_none(), "a refused connection must close");
+    let freed = Instant::now();
+    drop(open.pop());
+    let mut fresh = loop {
+        let mut client = Client::connect(port);
+        if client.pings() {
+            break client;
+        }
+        assert!(freed.elapsed() < Duration::from_secs(10), "no slot freed after a hang-up");
+        std::thread::sleep(Duration::from_millis(1));
+    };
+    let resumed = freed.elapsed();
+    let after = fresh.fix(&broken_module("after_flood"), 8, Some(PROBE_DEADLINE_MS));
+    Flood { refused, resumed, after }
 }
 
 fn main() {
@@ -395,6 +492,29 @@ fn main() {
     }
     println!("coalesce: {coalesce_clients} identical requests, byte-identical streams");
 
+    // Edge of the protocol: malformed lines and a connection flood get
+    // explicit rejects, and the daemon keeps serving through both.
+    let daemon = Daemon::start(config()).expect("daemon starts");
+    let bad = run_bad_requests(daemon.port());
+    let flood = run_connection_flood(daemon.port());
+    daemon.drain();
+    let served = |outcome: Outcome| matches!(outcome, Outcome::Fixed | Outcome::Unfixed);
+    assert_eq!(
+        (bad.garbage.as_str(), bad.oversized.as_str()),
+        ("bad-request", "bad-request"),
+        "malformed request lines must get bad-request"
+    );
+    assert!(served(bad.after), "no result after the bad requests: {:?}", bad.after);
+    assert_eq!(flood.refused, "too-many-connections", "the connection past the cap");
+    assert!(served(flood.after), "no result after the connection flood: {:?}", flood.after);
+    let resumed_ms = flood.resumed.as_secs_f64() * 1e3;
+    println!(
+        "bad requests: garbage and over-long lines rejected as bad-request, still serving; \
+         connection flood: connection {} refused ({}), served again {resumed_ms:.1} ms after a slot freed",
+        MAX_CONNECTIONS + 1,
+        flood.refused
+    );
+
     // Chaos pass: uniform faults across all three sites. Served outcomes
     // must match the in-process baseline job for job — overload machinery
     // may shed or disconnect, but never silently change a result.
@@ -480,6 +600,23 @@ fn main() {
                 serde_json::json!({
                     "clients": coalesce_clients,
                     "byte_identical": true,
+                }),
+            ),
+            (
+                "bad_request",
+                serde_json::json!({
+                    "garbage": bad.garbage,
+                    "oversized": bad.oversized,
+                    "served_after": served(bad.after),
+                }),
+            ),
+            (
+                "connection_flood",
+                serde_json::json!({
+                    "max_connections": MAX_CONNECTIONS,
+                    "refused": flood.refused,
+                    "resumed_ms": resumed_ms,
+                    "served_after": served(flood.after),
                 }),
             ),
             (

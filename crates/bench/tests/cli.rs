@@ -653,6 +653,17 @@ fn servebench_quick_smoke_records_overload_curve() {
     assert_eq!(entry["contract"]["errors"].as_u64(), Some(0), "{text}");
     assert_eq!(entry["chaos"]["mismatches"].as_u64(), Some(0), "{text}");
     assert_eq!(serde_json::to_string(&entry["coalesce"]["byte_identical"]).unwrap(), "true", "{text}");
+    // Malformed lines and a connection flood get explicit rejects, and the
+    // daemon serves on after both.
+    for (probe, field, reason) in [
+        ("bad_request", "garbage", "bad-request"),
+        ("bad_request", "oversized", "bad-request"),
+        ("connection_flood", "refused", "too-many-connections"),
+    ] {
+        let got = serde_json::to_string(&entry[probe][field]).unwrap();
+        assert_eq!(got, format!("\"{reason}\""), "{probe}.{field}: {text}");
+        assert_eq!(serde_json::to_string(&entry[probe]["served_after"]).unwrap(), "true", "{text}");
+    }
 }
 
 #[test]

@@ -1,17 +1,18 @@
 //! Golden renderings of repair-episode transcripts.
 //!
 //! A fixed episode set is rendered twice — through `FixTrace`'s Figure 2c
-//! `Display` and through the daemon's `outcome_lines` wire events — and
+//! `Display` and through the daemon's `outcome_stream` wire events — and
 //! each rendering is pinned by one `fingerprint128`. The set covers the
 //! four `repair_grid` fixer configurations over 16 VerilogEval-syntax
 //! entries, one configuration with injected faults (garbled logs,
 //! compiler crashes, malformed completions) and one episode pair through a
 //! `DistilledStore`, so every kind of trace step and observation appears.
 //!
-//! The values were recorded before trace text became lazily rendered: the
-//! transcript a reader sees and the bytes a served client receives must not
-//! depend on when the text is built. Coalesced serve fan-out relies on the
-//! second rendering staying byte-identical.
+//! The values were recorded before trace text became lazily rendered and
+//! before the daemon rendered a stream into one buffer with a run-copying
+//! escaper: the transcript a reader sees and the bytes a served client
+//! receives must not depend on how the text is built. Coalesced serve
+//! fan-out relies on the second rendering staying byte-identical.
 
 use std::sync::Arc;
 
@@ -21,7 +22,7 @@ use rtlfixer_eval::episode_seed;
 use rtlfixer_faults::{FaultKind, FaultSpec};
 use rtlfixer_llm::{Capability, ResilientModel, SimulatedLlm};
 use rtlfixer_rag::{DistilledStore, HybridRetriever};
-use rtlfixer_serve::protocol::outcome_lines;
+use rtlfixer_serve::protocol::outcome_stream;
 
 /// The VerilogEval-syntax curation seed of the paper grids.
 const CORPUS_SEED: u64 = 7;
@@ -35,7 +36,7 @@ const CONFIGS: [(Strategy, CompilerKind, bool); 4] = [
     (Strategy::OneShot, CompilerKind::Quartus, true),
 ];
 
-/// Golden `(FixTrace Display, outcome_lines)` fingerprints per set,
+/// Golden `(FixTrace Display, outcome_stream)` fingerprints per set,
 /// recorded when each step still held its text as a `String`.
 const GRID: (u128, u128) =
     (0xd763_279a_b038_9d5d_777f_ac79_2465_fb67, 0x5219_c6e8_fc27_532c_f0dc_485d_c5d4_e0f1);
@@ -93,10 +94,7 @@ fn render(outcomes: &[FixOutcome]) -> (String, String) {
     let mut wire = String::new();
     for (index, outcome) in outcomes.iter().enumerate() {
         transcripts.push_str(&outcome.trace.to_string());
-        for line in outcome_lines(&format!("{index:032x}"), outcome) {
-            wire.push_str(&line);
-            wire.push('\n');
-        }
+        wire.push_str(&outcome_stream(&format!("{index:032x}"), outcome));
     }
     (transcripts, wire)
 }

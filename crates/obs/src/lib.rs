@@ -558,22 +558,61 @@ pub fn trace_event(ev: &str, fields: &[(&str, String)]) {
 /// Renders a string as a quoted, escaped JSON string literal.
 pub fn json_string(text: &str) -> String {
     let mut out = String::with_capacity(text.len() + 2);
-    out.push('"');
-    for ch in text.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+    push_json_string(&mut out, text);
     out
+}
+
+/// Appends `text` to `out` as a quoted, escaped JSON string literal.
+pub fn push_json_string(out: &mut String, text: &str) {
+    out.reserve(text.len() + 2);
+    out.push('"');
+    push_json_escaped(out, text);
+    out.push('"');
+}
+
+/// Bytes that cannot stand for themselves inside a JSON string literal:
+/// `"`, `\` and the C0 controls. Every other byte is copied, which keeps
+/// multi-byte UTF-8 sequences (all of whose bytes are ≥ 0x80) whole.
+const NEEDS_ESCAPE: [bool; 256] = {
+    let mut table = [false; 256];
+    let mut byte = 0;
+    while byte < 0x20 {
+        table[byte] = true;
+        byte += 1;
+    }
+    table[b'"' as usize] = true;
+    table[b'\\' as usize] = true;
+    table
+};
+
+/// Appends `text` to `out` escaped for the inside of a JSON string literal,
+/// without the quotes, so a caller can build one literal from several
+/// pieces. Runs of bytes that need no escape are copied whole.
+pub fn push_json_escaped(out: &mut String, text: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let bytes = text.as_bytes();
+    let mut run = 0;
+    for (index, &byte) in bytes.iter().enumerate() {
+        if !NEEDS_ESCAPE[byte as usize] {
+            continue;
+        }
+        // `byte` is ASCII, so `index` is a char boundary.
+        out.push_str(&text[run..index]);
+        match byte {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            control => {
+                out.push_str("\\u00");
+                out.push(char::from(HEX[usize::from(control >> 4)]));
+                out.push(char::from(HEX[usize::from(control & 0xf)]));
+            }
+        }
+        run = index + 1;
+    }
+    out.push_str(&text[run..]);
 }
 
 #[cfg(test)]
@@ -745,5 +784,67 @@ mod tests {
         assert_eq!(json_string("plain"), "\"plain\"");
         assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
         assert_eq!(json_string("\u{1}"), "\"\\u0001\"");
+    }
+
+    /// The escaper `push_json_string` replaced, one `char` at a time: the
+    /// oracle the run-copying version must match byte for byte.
+    fn json_string_reference(text: &str) -> String {
+        let mut out = String::with_capacity(text.len() + 2);
+        out.push('"');
+        for ch in text.chars() {
+            match ch {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    /// Every control byte, both escaped printables, DEL, plain ASCII and
+    /// one UTF-8 sequence of each length.
+    fn awkward_chars() -> Vec<char> {
+        let mut chars: Vec<char> = (0u8..0x20).map(char::from).collect();
+        chars.extend(['"', '\\', '\u{7f}', ' ', 'a', '/', '\u{e9}', '\u{4e2d}', '\u{1f600}']);
+        chars
+    }
+
+    #[test]
+    fn every_awkward_char_escapes_like_the_reference() {
+        for ch in awkward_chars() {
+            for text in [ch.to_string(), format!("ab{ch}cd"), format!("{ch}{ch}")] {
+                assert_eq!(json_string(&text), json_string_reference(&text), "{text:?}");
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn push_json_string_matches_the_reference(seed: u64, len in 0usize..80) {
+            let alphabet = awkward_chars();
+            let mut state = seed;
+            let text: String = (0..len)
+                .map(|_| {
+                    // splitmix64: a draw per char from the seed.
+                    state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                    let mut z = state;
+                    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                    alphabet[((z ^ (z >> 31)) % alphabet.len() as u64) as usize]
+                })
+                .collect();
+            let mut out = String::from("prefix:");
+            push_json_string(&mut out, &text);
+            proptest::prop_assert_eq!(out, format!("prefix:{}", json_string_reference(&text)));
+        }
     }
 }

@@ -38,12 +38,11 @@
 
 use std::collections::HashMap;
 use std::collections::VecDeque;
-use std::sync::mpsc::Sender;
-use std::sync::{Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
 use crate::protocol::{JobSpec, REJECT_DRAINING, REJECT_QUEUE_FULL, REJECT_QUOTA};
-use crate::server::Delivery;
+use crate::server::Conn;
 
 /// One tenant's token-bucket configuration plus its fair-share weight.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -169,9 +168,10 @@ pub struct QueuedJob {
 
 /// One response consumer of an in-flight episode.
 pub struct Waiter {
-    /// The connection's writer channel.
-    pub sender: Sender<Delivery>,
-    /// Injected mid-stream disconnect: deliver one line, then hang up.
+    /// The connection the response goes out on.
+    pub conn: Arc<Conn>,
+    /// Injected mid-stream disconnect: deliver the first half of the
+    /// lines, then hang up.
     pub truncate: bool,
 }
 
@@ -253,12 +253,13 @@ impl Admission {
     /// tenant's token bucket, coalescing, then queue capacity. Counters
     /// fire for every path, so the overload story is always visible.
     ///
-    /// On `Queued`/`Coalesced` the `ack` line is delivered to the waiter's
-    /// channel *while the admission lock is held*. Workers can only reach
-    /// this waiter through [`Admission::complete`], which takes the same
-    /// lock — so the ack is ordered before any fan-out line even when the
-    /// episode finishes before the admitting thread is scheduled again.
-    pub fn admit(&self, job: QueuedJob, waiter: Waiter, ack: String) -> Admit {
+    /// On `Queued`/`Coalesced` the `ack` line is queued on the waiter's
+    /// connection *while the admission lock is held* (the caller sends it
+    /// after the lock is released). Workers can only reach this waiter
+    /// through [`Admission::complete`], which takes the same lock — so the
+    /// ack is ordered before any fan-out line even when the episode
+    /// finishes before the admitting thread is scheduled again.
+    pub fn admit(&self, job: QueuedJob, waiter: Waiter, ack: &str) -> Admit {
         let mut state = self.lock();
         if state.draining {
             rtlfixer_obs::counter_add("serve.rejected.draining", 1);
@@ -286,7 +287,7 @@ impl Admission {
             }
         }
         if let Some(waiters) = state.inflight.get_mut(&job.fp) {
-            let _ = waiter.sender.send(Delivery::Own(vec![ack]));
+            waiter.conn.queue_ack(ack);
             waiters.push(waiter);
             rtlfixer_obs::counter_add("serve.coalesced", 1);
             return Admit::Coalesced;
@@ -299,7 +300,7 @@ impl Admission {
             };
         }
         let tenant = job.tenant.clone();
-        let _ = waiter.sender.send(Delivery::Own(vec![ack]));
+        waiter.conn.queue_ack(ack);
         state.inflight.insert(job.fp.clone(), vec![waiter]);
         let cfg = self.quota.as_ref().and_then(|q| q.for_tenant(&tenant));
         ensure_tenant(&mut state, &tenant, cfg).queue.push_back(job);
@@ -417,7 +418,8 @@ fn fair_pick(state: &mut State) -> QueuedJob {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::mpsc::channel;
+    use std::net::{TcpListener, TcpStream};
+    use std::sync::OnceLock;
 
     fn job(fp: &str, tenant: &str) -> QueuedJob {
         let request: crate::protocol::Request = serde_json::from_str(&format!(
@@ -433,18 +435,25 @@ mod tests {
         }
     }
 
+    /// A waiter on one connection shared by every test, to a listener
+    /// that never accepts: acks queue and nothing is sent.
     fn waiter() -> Waiter {
-        let (sender, receiver) = channel();
-        std::mem::forget(receiver); // keep the channel open for the test
-        Waiter { sender, truncate: false }
+        static CONN: OnceLock<(TcpListener, Arc<Conn>)> = OnceLock::new();
+        let (_, conn) = CONN.get_or_init(|| {
+            let listener = TcpListener::bind("127.0.0.1:0").expect("bind a local port");
+            let addr = listener.local_addr().expect("local address");
+            let stream = TcpStream::connect(addr).expect("connect to the listener");
+            (listener, Arc::new(Conn::new(stream)))
+        });
+        Waiter { conn: Arc::clone(conn), truncate: false }
     }
 
     #[test]
     fn queue_bound_is_explicit_reject() {
         let admission = Admission::new(2, None);
-        assert_eq!(admission.admit(job("a", "t"), waiter(), String::new()), Admit::Queued);
-        assert_eq!(admission.admit(job("b", "t"), waiter(), String::new()), Admit::Queued);
-        match admission.admit(job("c", "t"), waiter(), String::new()) {
+        assert_eq!(admission.admit(job("a", "t"), waiter(), ""), Admit::Queued);
+        assert_eq!(admission.admit(job("b", "t"), waiter(), ""), Admit::Queued);
+        match admission.admit(job("c", "t"), waiter(), "") {
             Admit::Rejected { reason, .. } => assert_eq!(reason, REJECT_QUEUE_FULL),
             other => panic!("expected queue-full, got {other:?}"),
         }
@@ -454,9 +463,9 @@ mod tests {
     #[test]
     fn identical_fingerprints_coalesce_without_queueing() {
         let admission = Admission::new(1, None);
-        assert_eq!(admission.admit(job("same", "t"), waiter(), String::new()), Admit::Queued);
+        assert_eq!(admission.admit(job("same", "t"), waiter(), ""), Admit::Queued);
         // The queue is full (limit 1), yet the duplicate still joins.
-        assert_eq!(admission.admit(job("same", "t"), waiter(), String::new()), Admit::Coalesced);
+        assert_eq!(admission.admit(job("same", "t"), waiter(), ""), Admit::Coalesced);
         assert_eq!(admission.queue_depth(), 1);
         assert_eq!(admission.complete("same").len(), 2);
     }
@@ -465,9 +474,9 @@ mod tests {
     fn empty_bucket_rejects_with_quota_reason() {
         let quota = QuotaSpec::parse("default=0/2").unwrap();
         let admission = Admission::new(16, quota);
-        assert_eq!(admission.admit(job("a", "t"), waiter(), String::new()), Admit::Queued);
-        assert_eq!(admission.admit(job("b", "t"), waiter(), String::new()), Admit::Queued);
-        match admission.admit(job("c", "t"), waiter(), String::new()) {
+        assert_eq!(admission.admit(job("a", "t"), waiter(), ""), Admit::Queued);
+        assert_eq!(admission.admit(job("b", "t"), waiter(), ""), Admit::Queued);
+        match admission.admit(job("c", "t"), waiter(), "") {
             Admit::Rejected { reason, .. } => assert_eq!(reason, REJECT_QUOTA),
             other => panic!("expected quota-exceeded, got {other:?}"),
         }
@@ -477,7 +486,7 @@ mod tests {
     fn draining_rejects_everything_new() {
         let admission = Admission::new(16, None);
         admission.begin_drain();
-        match admission.admit(job("a", "t"), waiter(), String::new()) {
+        match admission.admit(job("a", "t"), waiter(), "") {
             Admit::Rejected { reason, .. } => assert_eq!(reason, REJECT_DRAINING),
             other => panic!("expected draining, got {other:?}"),
         }
@@ -490,10 +499,10 @@ mod tests {
         let quota = QuotaSpec::parse("heavy=1000/1000/2,light=1000/1000").unwrap();
         let admission = Admission::new(64, quota);
         for i in 0..6 {
-            assert_eq!(admission.admit(job(&format!("h{i}"), "heavy"), waiter(), String::new()), Admit::Queued);
+            assert_eq!(admission.admit(job(&format!("h{i}"), "heavy"), waiter(), ""), Admit::Queued);
         }
         for i in 0..3 {
-            assert_eq!(admission.admit(job(&format!("l{i}"), "light"), waiter(), String::new()), Admit::Queued);
+            assert_eq!(admission.admit(job(&format!("l{i}"), "light"), waiter(), ""), Admit::Queued);
         }
         let order: Vec<String> =
             (0..9).map(|_| admission.dequeue_blocking().expect("job").fp).collect();
@@ -508,7 +517,7 @@ mod tests {
         for i in 0..10_000 {
             let fp = format!("f{i}");
             let tenant = format!("t{i}");
-            assert_eq!(admission.admit(job(&fp, &tenant), waiter(), String::new()), Admit::Queued);
+            assert_eq!(admission.admit(job(&fp, &tenant), waiter(), ""), Admit::Queued);
             assert_eq!(admission.dequeue_blocking().map(|j| j.fp), Some(fp.clone()));
             assert_eq!(admission.complete(&fp).len(), 1);
         }
@@ -523,11 +532,11 @@ mod tests {
         // remembered after its queue empties, through a newcomer's sweep.
         let quota = QuotaSpec::parse("default=0/1").unwrap();
         let admission = Admission::new(16, quota);
-        assert_eq!(admission.admit(job("a", "t"), waiter(), String::new()), Admit::Queued);
+        assert_eq!(admission.admit(job("a", "t"), waiter(), ""), Admit::Queued);
         assert_eq!(admission.dequeue_blocking().map(|j| j.fp).as_deref(), Some("a"));
         admission.complete("a");
-        assert_eq!(admission.admit(job("b", "u"), waiter(), String::new()), Admit::Queued);
-        match admission.admit(job("c", "t"), waiter(), String::new()) {
+        assert_eq!(admission.admit(job("b", "u"), waiter(), ""), Admit::Queued);
+        match admission.admit(job("c", "t"), waiter(), "") {
             Admit::Rejected { reason, .. } => assert_eq!(reason, REJECT_QUOTA),
             other => panic!("expected quota-exceeded, got {other:?}"),
         }
@@ -537,10 +546,10 @@ mod tests {
     fn refilled_tenants_are_swept_when_a_new_tenant_arrives() {
         let quota = QuotaSpec::parse("default=1000/1").unwrap();
         let admission = Admission::new(16, quota);
-        assert_eq!(admission.admit(job("a", "t"), waiter(), String::new()), Admit::Queued);
+        assert_eq!(admission.admit(job("a", "t"), waiter(), ""), Admit::Queued);
         assert_eq!(admission.dequeue_blocking().map(|j| j.fp).as_deref(), Some("a"));
         std::thread::sleep(std::time::Duration::from_millis(5)); // 1000/s refills a burst of 1
-        assert_eq!(admission.admit(job("b", "u"), waiter(), String::new()), Admit::Queued);
+        assert_eq!(admission.admit(job("b", "u"), waiter(), ""), Admit::Queued);
         let state = admission.lock();
         assert!(!state.tenants.contains_key("t"));
         assert_eq!(state.rotation, ["u"]);

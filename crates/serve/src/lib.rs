@@ -8,9 +8,11 @@
 //! * [`admission`] — bounded queue with explicit 429-style rejects,
 //!   per-tenant token buckets with weighted fair dequeue, and
 //!   content-addressed request coalescing;
-//! * [`server`] — the accept loop, per-connection reader/writer threads,
-//!   worker pool with per-request `catch_unwind` containment, deadline
-//!   shedding, and graceful drain (SIGTERM or a `shutdown` op).
+//! * [`server`] — the accept loop, a reader thread per connection (plus a
+//!   flusher only while a client lags), per-connection outboxes the
+//!   responses leave through, worker pool with per-request `catch_unwind`
+//!   containment, deadline shedding, and graceful drain (SIGTERM or a
+//!   `shutdown` op).
 //!
 //! Overload degrades smoothly by construction: the queue never grows past
 //! its bound, excess requests get an immediate `rejected` line, admitted
@@ -24,7 +26,7 @@ pub mod server;
 
 pub use admission::{Admission, Admit, BucketCfg, QueuedJob, QuotaSpec, Waiter};
 pub use protocol::{JobSpec, Request};
-pub use server::{Daemon, Delivery, ServeConfig};
+pub use server::{Daemon, ServeConfig};
 
 use std::io::Write as _;
 use std::sync::atomic::{AtomicBool, Ordering};

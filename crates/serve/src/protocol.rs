@@ -198,13 +198,18 @@ impl JobSpec {
 // ---- response events ----------------------------------------------------
 //
 // Rendered by hand (the vendored serde_derive cannot derive Serialize for
-// lifetime-generic structs); `json_string` handles escaping. Field order
-// is fixed, so equal events render to equal bytes — the byte-identity
-// contract coalesced fan-out relies on.
+// lifetime-generic structs) with `rtlfixer_obs`'s escaper. Field order is
+// fixed, so equal events render to equal bytes — the byte-identity
+// contract coalesced fan-out relies on. Every event line ends in a
+// newline: a connection appends each as one unit, so lines never
+// interleave.
 
-use rtlfixer_obs::json_string;
+use std::fmt::Write as _;
 
-/// The daemon's startup announcement (stdout, not the socket).
+use rtlfixer_agent::TraceText;
+use rtlfixer_obs::{json_string, push_json_escaped, push_json_string};
+
+/// The daemon's startup announcement (stdout, not the socket; no newline).
 pub fn listening_line(port: u16) -> String {
     format!("{{\"ev\":\"listening\",\"port\":{port}}}")
 }
@@ -212,13 +217,13 @@ pub fn listening_line(port: u16) -> String {
 /// A request was admitted (or coalesced onto an in-flight episode — the
 /// line is identical either way, by design).
 pub fn accepted_line(fp: &str) -> String {
-    format!("{{\"ev\":\"accepted\",\"fp\":{}}}", json_string(fp))
+    format!("{{\"ev\":\"accepted\",\"fp\":{}}}\n", json_string(fp))
 }
 
 /// A request was refused at admission; 429-style, never silent.
 pub fn rejected_line(reason: &str, detail: &str) -> String {
     format!(
-        "{{\"ev\":\"rejected\",\"code\":429,\"reason\":{},\"detail\":{}}}",
+        "{{\"ev\":\"rejected\",\"code\":429,\"reason\":{},\"detail\":{}}}\n",
         json_string(reason),
         json_string(detail)
     )
@@ -227,56 +232,79 @@ pub fn rejected_line(reason: &str, detail: &str) -> String {
 /// An admitted request was dropped before execution (deadline passed in
 /// queue).
 pub fn shed_line(fp: &str, reason: &str) -> String {
-    format!("{{\"ev\":\"shed\",\"fp\":{},\"reason\":{}}}", json_string(fp), json_string(reason))
+    format!("{{\"ev\":\"shed\",\"fp\":{},\"reason\":{}}}\n", json_string(fp), json_string(reason))
 }
 
-/// `pong`.
-pub fn pong_line() -> String {
-    "{\"ev\":\"pong\"}".to_owned()
-}
+/// The answer to `ping`.
+pub const PONG: &str = "{\"ev\":\"pong\"}\n";
 
 /// Acknowledges a `shutdown` op; the daemon drains after sending it.
-pub fn shutdown_ack_line() -> String {
-    "{\"ev\":\"shutdown-ack\"}".to_owned()
-}
+pub const SHUTDOWN_ACK: &str = "{\"ev\":\"shutdown-ack\"}\n";
 
 /// An episode escaped containment (panicked); the daemon survives and
 /// reports the payload.
 pub fn error_line(fp: &str, detail: &str) -> String {
-    format!("{{\"ev\":\"error\",\"fp\":{},\"detail\":{}}}", json_string(fp), json_string(detail))
+    format!("{{\"ev\":\"error\",\"fp\":{},\"detail\":{}}}\n", json_string(fp), json_string(detail))
 }
 
+/// Fixed bytes of one stream line besides `fp` and its text fields: field
+/// names, punctuation, numbers and the action, with room to spare.
+const LINE_FIXED_BYTES: usize = 160;
+
 /// Renders a finished episode as its response stream: one `trace` line per
-/// ReAct step, then the `result` line. A pure function of `(fp, outcome)`
-/// — the byte-identity contract for coalesced fan-out. The episode stored
-/// its steps as handles (`rtlfixer_agent::TraceText`); their text is
-/// rendered here, once per finished episode, not inside the episode.
-pub fn outcome_lines(fp: &str, outcome: &FixOutcome) -> Vec<String> {
-    let mut lines = Vec::with_capacity(outcome.trace.steps.len() + 1);
-    for (index, step) in outcome.trace.steps.iter().enumerate() {
-        let action = match &step.action {
-            Action::Rag { .. } => "rag".to_owned(),
-            other => format!("{other}").to_ascii_lowercase(),
-        };
-        lines.push(format!(
-            "{{\"ev\":\"trace\",\"fp\":{},\"step\":{},\"action\":{},\"thought\":{},\"observation\":{}}}",
-            json_string(fp),
-            index + 1,
-            json_string(&action),
-            json_string(&step.thought.as_str()),
-            json_string(&step.observation.as_str()),
-        ));
+/// ReAct step, then the `result` line, into one buffer. A pure function of
+/// `(fp, outcome)` — the byte-identity contract for coalesced fan-out,
+/// whose waiters all send this one buffer. The episode stored its steps as
+/// handles (`rtlfixer_agent::TraceText`); their text is escaped straight
+/// from where it lives, once per finished episode, not inside the episode.
+pub fn outcome_stream(fp: &str, outcome: &FixOutcome) -> String {
+    let steps = &outcome.trace.steps;
+    let text: usize = outcome.final_code.len()
+        + steps.iter().map(|step| step.thought.len() + step.observation.len()).sum::<usize>();
+    // Escapes grow the text a little (logs and code are full of newlines).
+    let capacity = text + text / 8 + (steps.len() + 1) * (fp.len() + LINE_FIXED_BYTES);
+    let mut out = String::with_capacity(capacity);
+    for (index, step) in steps.iter().enumerate() {
+        out.push_str("{\"ev\":\"trace\",\"fp\":");
+        push_json_string(&mut out, fp);
+        let _ = write!(out, ",\"step\":{},\"action\":\"", index + 1);
+        // The lower-cased `Action` display, RAG without its query excerpt.
+        match &step.action {
+            Action::Compiler => out.push_str("compiler"),
+            Action::Rag { .. } => out.push_str("rag"),
+            Action::Revise => out.push_str("revise"),
+            Action::Fault { kind } => {
+                out.push_str("fault[");
+                push_json_escaped(&mut out, &kind.to_ascii_lowercase());
+                out.push(']');
+            }
+            Action::Retry => out.push_str("retry"),
+            Action::Finish => out.push_str("finish"),
+        }
+        out.push_str("\",\"thought\":");
+        push_trace_text(&mut out, &step.thought);
+        out.push_str(",\"observation\":");
+        push_trace_text(&mut out, &step.observation);
+        out.push_str("}\n");
     }
-    lines.push(format!(
-        "{{\"ev\":\"result\",\"fp\":{},\"success\":{},\"revisions\":{},\"degraded\":{},\"fault_events\":{},\"code\":{}}}",
-        json_string(fp),
-        outcome.success,
-        outcome.revisions,
-        outcome.degraded,
-        outcome.fault_events,
-        json_string(&outcome.final_code),
-    ));
-    lines
+    out.push_str("{\"ev\":\"result\",\"fp\":");
+    push_json_string(&mut out, fp);
+    let _ = write!(
+        out,
+        ",\"success\":{},\"revisions\":{},\"degraded\":{},\"fault_events\":{},\"code\":",
+        outcome.success, outcome.revisions, outcome.degraded, outcome.fault_events,
+    );
+    push_json_string(&mut out, &outcome.final_code);
+    out.push_str("}\n");
+    out
+}
+
+/// Appends a trace text as one JSON string literal, escaping each of its
+/// pieces in place.
+fn push_trace_text(out: &mut String, text: &TraceText) {
+    out.push('"');
+    text.for_each_piece(|piece| push_json_escaped(out, piece));
+    out.push('"');
 }
 
 #[cfg(test)]
@@ -341,7 +369,7 @@ mod tests {
     }
 
     #[test]
-    fn outcome_lines_end_in_the_result() {
+    fn outcome_stream_ends_in_the_result() {
         use rtlfixer_agent::FixTrace;
         let mut trace = FixTrace::new();
         trace.push("compile it", Action::Compiler, "error: x");
@@ -357,12 +385,14 @@ mod tests {
             distilled: vec![],
             trace,
         };
-        let lines = outcome_lines("00ff", &outcome);
+        let stream = outcome_stream("00ff", &outcome);
+        assert!(stream.ends_with('\n'));
+        let lines: Vec<&str> = stream.lines().collect();
         assert_eq!(lines.len(), 3);
         assert!(lines[0].contains("\"ev\":\"trace\"") && lines[0].contains("\"step\":1"));
         assert!(lines[0].contains("\"action\":\"compiler\""));
         assert!(lines[2].contains("\"ev\":\"result\"") && lines[2].contains("\"success\":true"));
         // Deterministic rendering: the same outcome yields the same bytes.
-        assert_eq!(lines, outcome_lines("00ff", &outcome));
+        assert_eq!(stream, outcome_stream("00ff", &outcome));
     }
 }

@@ -3,14 +3,14 @@
 //! The daemon records into process-global observability and fault state,
 //! so every test serializes on one lock and resets that state up front.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{Shutdown, TcpStream};
 use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use serde::Deserialize;
 
-use rtlfixer_serve::server::{MAX_CONNECTIONS, MAX_LINE_BYTES};
+use rtlfixer_serve::server::{MAX_CONNECTIONS, MAX_LINE_BYTES, MAX_OUTBOX_BYTES};
 use rtlfixer_serve::{Daemon, ServeConfig};
 
 /// The missing-`clk` archetype the episode-path tests use: broken as
@@ -73,6 +73,10 @@ impl Client {
 
 fn fix_line(code: &str, extra: &str) -> String {
     format!("{{\"op\":\"fix\",\"code\":{}{extra}}}", rtlfixer_obs::json_string(code))
+}
+
+fn counter(name: &str) -> u64 {
+    rtlfixer_obs::snapshot().counters.get(name).copied().unwrap_or(0)
 }
 
 fn config(workers: usize, queue_limit: usize, min_service_ms: u64) -> ServeConfig {
@@ -420,5 +424,120 @@ fn connections_over_the_cap_are_refused_until_a_slot_frees() {
         std::thread::sleep(Duration::from_millis(5));
     }
     drop(open);
+    daemon.drain();
+}
+
+/// `printf … | nc -N`: a client that half-closes after its requests still
+/// gets every response it is owed, and then the daemon closes the
+/// connection. The 100 ms service floor puts the end of input well before
+/// either result.
+#[test]
+fn half_closed_client_receives_every_owed_response_then_eof() {
+    let _guard = setup();
+    let daemon = Daemon::start(config(1, 16, 100)).expect("daemon starts");
+    let mut client = Client::connect(daemon.port());
+    client.send(&fix_line(BROKEN, ",\"seed\":3"));
+    let other = BROKEN.replace("module m(", "module half_closed(");
+    client.send(&fix_line(&other, ",\"seed\":4"));
+    client.writer.shutdown(Shutdown::Write).expect("half-close the request side");
+    let mut events = Vec::new();
+    loop {
+        let mut line = String::new();
+        if client.reader.read_line(&mut line).expect("read until the daemon closes") == 0 {
+            break;
+        }
+        let event: Event = serde_json::from_str(line.trim_end())
+            .unwrap_or_else(|err| panic!("unparseable event `{line}`: {err}"));
+        events.push(event.ev);
+    }
+    let count = |ev: &str| events.iter().filter(|e| *e == ev).count();
+    assert_eq!((count("accepted"), count("result")), (2, 2), "{events:?}");
+    assert_eq!(events.last().map(String::as_str), Some("result"), "{events:?}");
+    assert!(count("trace") > 0, "{events:?}");
+    daemon.drain();
+}
+
+/// A client that pauses reading while its responses pile up past the
+/// socket buffers gets the rest from a flusher thread, every line whole
+/// and in order, once it reads again. About 6 MB of responses outgrow the
+/// kernel's buffers (at most ~4 MB on loopback while nobody reads). The
+/// 1 ms service floor holds the answers to ~12 MB/s, so the outbox stays
+/// far below its cap in the moments before reading resumes.
+#[test]
+fn lagging_reader_gets_every_line_through_a_flusher() {
+    let _guard = setup();
+    let flushers = counter("serve.flusher.spawned");
+    let daemon = Daemon::start(config(2, 1024, 1)).expect("daemon starts");
+    let mut client = Client::connect(daemon.port());
+    let requests = 1000;
+    for seed in 0..requests {
+        client.send(&fix_line(BROKEN, &format!(",\"seed\":{seed}")));
+    }
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while counter("serve.flusher.spawned") == flushers {
+        assert!(Instant::now() < deadline, "the backlog never outgrew the socket");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let (mut accepted, mut results) = (0, 0);
+    while results < requests {
+        let (_, event) = client.recv();
+        match event.ev.as_str() {
+            "accepted" => accepted += 1,
+            "trace" => {}
+            "result" => results += 1,
+            other => panic!("unexpected event `{other}`"),
+        }
+    }
+    assert_eq!(accepted, requests);
+    daemon.drain();
+}
+
+/// A client that keeps sending but never reads is disconnected once its
+/// unsent responses would pass `MAX_OUTBOX_BYTES`, instead of growing the
+/// daemon without bound; other clients are still served.
+#[test]
+fn non_reading_client_is_disconnected_and_others_are_served() {
+    let _guard = setup();
+    let disconnects = counter("serve.disconnected.backlog");
+    let daemon = Daemon::start(config(2, 4096, 0)).expect("daemon starts");
+    let flood = TcpStream::connect(("127.0.0.1", daemon.port())).expect("connect to daemon");
+    let sender = {
+        let mut flood = flood.try_clone().expect("clone stream");
+        std::thread::spawn(move || {
+            // Several times the cap in responses; the first failed write
+            // means the daemon hung up.
+            for seed in 0..20_000 {
+                if writeln!(flood, "{}", fix_line(BROKEN, &format!(",\"seed\":{seed}"))).is_err() {
+                    break;
+                }
+            }
+        })
+    };
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while counter("serve.disconnected.backlog") == disconnects {
+        assert!(
+            Instant::now() < deadline,
+            "a client that never reads was not disconnected ({MAX_OUTBOX_BYTES}-byte cap)"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    // The flood's connection ends: what it can still read runs out.
+    flood.set_read_timeout(Some(Duration::from_secs(30))).expect("set read timeout");
+    let mut sink = Vec::new();
+    let drained = (&flood).read_to_end(&mut sink);
+    assert!(
+        drained.is_ok() || drained.as_ref().is_err_and(|e| e.kind() == std::io::ErrorKind::ConnectionReset),
+        "the flood connection did not end: {drained:?}"
+    );
+    sender.join().expect("flood sender");
+    let mut other = Client::connect(daemon.port());
+    other.send(&fix_line(BROKEN, ",\"seed\":99999"));
+    loop {
+        let (_, event) = other.recv();
+        if event.ev == "result" {
+            assert_eq!(event.success, Some(true));
+            break;
+        }
+    }
     daemon.drain();
 }
