@@ -160,6 +160,7 @@ fn telemetry_json() -> serde_json::Value {
         "analyses": caches.analyses.hit_rate,
         "outcomes": caches.outcomes.hit_rate,
         "designs": caches.designs.hit_rate,
+        "verdicts": caches.verdicts.hit_rate,
     });
     serde_json::json!({
         "counters": snap.counters,
@@ -175,7 +176,8 @@ fn telemetry_json() -> serde_json::Value {
 /// merge-writes its entry so the binaries can run in any order or subset.
 /// Each entry carries the wall-clock stats plus a snapshot of the
 /// process-wide artifact caches (analysis / compile-outcome / elaborated
-/// design hits and misses) and of the fault-injection counters
+/// design hits and misses), of the per-problem verdict memos and of the
+/// fault-injection counters
 /// (injected / recovered / exhausted per kind), so throughput numbers are
 /// interpretable next to the cache and fault behaviour that produced them.
 ///

@@ -43,5 +43,5 @@ pub mod suites;
 pub use curation::{
     verilog_eval_syntax, verilog_eval_syntax_shared, SyntaxBenchEntry, SYNTAX_BENCH_COUNT,
 };
-pub use problem::{Difficulty, Problem, Suite, Verdict};
+pub use problem::{verdict_memo_stats, Difficulty, Problem, Suite, Verdict, VerdictMemo};
 pub use suites::{rtllm, verilog_eval_human, verilog_eval_machine};

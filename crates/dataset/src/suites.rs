@@ -39,6 +39,7 @@ pub fn problem_from_blueprint(bp: &Blueprint, suite: Suite, prefix: &str) -> Pro
         golden: bp.golden.clone(),
         difficulty: bp.difficulty,
         test_cycles: bp.test_cycles,
+        verdicts: Default::default(),
     }
 }
 

@@ -339,8 +339,9 @@ impl From<rtlfixer_cache::CacheStats> for CacheCounters {
 }
 
 /// Point-in-time snapshot of the three process-wide artifact caches the
-/// episode pool shares: frontend analyses, rendered compile outcomes, and
-/// elaborated designs. Counters are cumulative since process start.
+/// episode pool shares (frontend analyses, rendered compile outcomes, and
+/// elaborated designs) and of the per-problem verdict memos. Counters are
+/// cumulative since process start.
 #[derive(Debug, Clone, Copy, serde::Serialize)]
 pub struct CacheReport {
     /// Whether caching was active at snapshot time (`RTLFIXER_CACHE`).
@@ -351,15 +352,20 @@ pub struct CacheReport {
     pub outcomes: CacheCounters,
     /// `rtlfixer_sim::elab::elaborate_shared` (source × top → `Design`).
     pub designs: CacheCounters,
+    /// `Problem::check_seeded` (seed × sim backends × source → `Verdict`),
+    /// summed over every problem's memo.
+    pub verdicts: CacheCounters,
 }
 
-/// Snapshots all three artifact caches (for throughput artifacts and logs).
+/// Snapshots the artifact caches and verdict memos (for throughput
+/// artifacts and logs).
 pub fn cache_report() -> CacheReport {
     CacheReport {
         enabled: rtlfixer_cache::enabled(),
         analyses: rtlfixer_verilog::analysis_cache_stats().into(),
         outcomes: rtlfixer_compilers::outcome_cache_stats().into(),
         designs: rtlfixer_sim::elab::design_cache_stats().into(),
+        verdicts: rtlfixer_dataset::verdict_memo_stats().into(),
     }
 }
 

@@ -6,7 +6,9 @@
 
 use rtlfixer_agent::Strategy;
 use rtlfixer_compilers::CompilerKind;
+use rtlfixer_dataset::Problem;
 use rtlfixer_eval::experiments::table1::{load_entries, run_cell_timed, FixRateConfig};
+use rtlfixer_eval::experiments::table2::{evaluate_suite, PassAtKConfig};
 use rtlfixer_eval::sim_debug::sim_debug_study;
 use rtlfixer_llm::Capability;
 
@@ -47,21 +49,41 @@ fn study_rows(jobs: usize) -> Vec<(String, usize, usize)> {
         .collect()
 }
 
+/// Table 2's pass@k rows and Figure 4's shares at the `--quick` config, as
+/// bit patterns. The problems are passed in, so later calls meet the
+/// verdict memos earlier calls filled.
+fn pass_rows(problems: &[Problem], jobs: usize) -> Vec<u64> {
+    let config = PassAtKConfig { samples: 8, max_problems: Some(30), seed: 11, jobs };
+    let evaluation = evaluate_suite("Human", problems, &config);
+    let shares = [evaluation.shares_original, evaluation.shares_fixed];
+    evaluation
+        .rows
+        .iter()
+        .flat_map(|r| [r.pass1_original, r.pass1_fixed, r.pass5_original, r.pass5_fixed])
+        .chain(shares.iter().flat_map(|s| [s.pass, s.syntax_error, s.sim_error]))
+        .map(f64::to_bits)
+        .collect()
+}
+
 #[test]
 fn outputs_identical_with_cache_on_or_off_at_any_jobs() {
+    let problems = rtlfixer_dataset::verilog_eval_human();
     // Baseline: caches off, serial — the reference semantics.
     rtlfixer_cache::set_enabled(false);
     let rates_off = fix_rates(1);
     let rows_off = study_rows(1);
+    let pass_off = pass_rows(&problems, 1);
 
     rtlfixer_cache::set_enabled(true);
     for jobs in [1, 4] {
         assert_eq!(fix_rates(jobs), rates_off, "fix rates diverged (cache on, jobs {jobs})");
         assert_eq!(study_rows(jobs), rows_off, "§5 study diverged (cache on, jobs {jobs})");
+        assert_eq!(pass_rows(&problems, jobs), pass_off, "pass@k diverged (cache on, jobs {jobs})");
     }
     // And the off/parallel corner: disabling must also be invisible.
     rtlfixer_cache::set_enabled(false);
     assert_eq!(fix_rates(4), rates_off, "fix rates diverged (cache off, jobs 4)");
+    assert_eq!(pass_rows(&problems, 4), pass_off, "pass@k diverged (cache off, jobs 4)");
 
     // The warm runs actually exercised the caches (this is an invariance
     // test, not a vacuous one).
@@ -69,6 +91,7 @@ fn outputs_identical_with_cache_on_or_off_at_any_jobs() {
     let report = rtlfixer_eval::cache_report();
     assert!(report.outcomes.hits > 0, "no outcome-cache traffic: {report:?}");
     assert!(report.analyses.hits > 0, "no analysis-cache traffic: {report:?}");
+    assert!(report.verdicts.hits > 0, "no verdict-memo traffic: {report:?}");
 
     // A warm repeat re-reads only sources the cache already holds: the
     // model's drafts go through the analysis cache too, so the pass adds

@@ -215,6 +215,26 @@ pub fn force_sim_backends(event: Option<bool>, tape: Option<bool>) {
     FORCE_TAPE.store(enc(tape), Ordering::Relaxed);
 }
 
+/// The simulation backends a run made now would use: the three switches
+/// [`force_sim_backends`] and `RTLFIXER_SIM_{EVENT,TAPE,WIDE}` set.
+/// Every selection gives bit-identical results; a memo of simulation
+/// results keys on it so that a comparison between backends still
+/// simulates under each one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct SimBackends {
+    /// Event-driven settle (off: full sweeps).
+    pub event: bool,
+    /// Compiled-tape execution (off: the tree walker).
+    pub tape: bool,
+    /// Multi-limb fast tapes (off: scalar-only).
+    pub wide: bool,
+}
+
+/// Reads the current backend selection (see [`SimBackends`]).
+pub fn sim_backends() -> SimBackends {
+    SimBackends { event: event_driven(), tape: tape_enabled(), wide: wide_enabled() }
+}
+
 /// Returns whether the event-driven settle filter is enabled (default yes;
 /// `RTLFIXER_SIM_EVENT=0|off|false` forces the full-sweep fallback).
 fn event_driven() -> bool {

@@ -49,7 +49,7 @@ pub mod value;
 pub mod vcd;
 mod wide;
 
-pub use interp::{force_sim_backends, SimError, Simulator, StateValue};
+pub use interp::{force_sim_backends, sim_backends, SimBackends, SimError, Simulator, StateValue};
 pub use tape::TapeStats;
 pub use testbench::{run_testbench, Clocking, ReferenceModel, TestResult};
 pub use value::LogicVec;

@@ -198,39 +198,15 @@ impl Xorshift {
         x.wrapping_mul(0x2545_F491_4F6C_DD1D)
     }
 
-    /// A random [`LogicVec`] of `width` bits (no x bits).
+    /// A random [`LogicVec`] of `width` bits (no x bits): one draw per
+    /// 64-bit limb, low limb first, with the top limb's spare bits dropped.
     pub fn next_vec(&mut self, width: u32) -> LogicVec {
-        let mut v = LogicVec::zeros(width);
-        let mut i = 0;
-        while i < width {
-            let chunk = self.next_u64();
-            for k in 0..64.min(width - i) {
-                if (chunk >> k) & 1 == 1 {
-                    v.set_bit(i + k, crate::value::Bit::One);
-                }
-            }
-            i += 64;
+        if width <= 64 {
+            return LogicVec::from_u64(width, self.next_u64());
         }
-        v
+        let limbs: Vec<u64> = (0..width.div_ceil(64)).map(|_| self.next_u64()).collect();
+        LogicVec::from_limbs(width, &limbs)
     }
-}
-
-/// Generates `cycles` of random stimulus for the given `(name, width)` input
-/// ports, deterministically from `seed`.
-pub fn random_stimuli(
-    ports: &[(String, u32)],
-    cycles: usize,
-    seed: u64,
-) -> Vec<BTreeMap<String, LogicVec>> {
-    let mut rng = Xorshift::new(seed);
-    (0..cycles)
-        .map(|_| {
-            ports
-                .iter()
-                .map(|(name, width)| (name.clone(), rng.next_vec(*width)))
-                .collect()
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -331,12 +307,43 @@ mod tests {
 
     #[test]
     fn stimulus_is_deterministic() {
-        let ports = vec![("a".to_owned(), 8), ("b".to_owned(), 16)];
-        let s1 = random_stimuli(&ports, 20, 7);
-        let s2 = random_stimuli(&ports, 20, 7);
-        assert_eq!(s1, s2);
-        let s3 = random_stimuli(&ports, 20, 8);
-        assert_ne!(s1, s3);
+        let draw = |seed| {
+            let mut rng = Xorshift::new(seed);
+            [8, 16, 100].map(|width| rng.next_vec(width))
+        };
+        assert_eq!(draw(7), draw(7));
+        assert_ne!(draw(7), draw(8));
+    }
+
+    /// The bit-at-a-time generator `next_vec` replaced: the specification
+    /// its whole-limb fill must reproduce.
+    fn next_vec_by_bits(rng: &mut Xorshift, width: u32) -> LogicVec {
+        let mut v = LogicVec::zeros(width);
+        let mut i = 0;
+        while i < width {
+            let chunk = rng.next_u64();
+            for k in 0..64.min(width - i) {
+                if (chunk >> k) & 1 == 1 {
+                    v.set_bit(i + k, crate::value::Bit::One);
+                }
+            }
+            i += 64;
+        }
+        v
+    }
+
+    #[test]
+    fn next_vec_matches_the_bitwise_oracle() {
+        for seed in [0, 1, 7, 0xC0FFEE, 12345] {
+            let (mut fast, mut oracle) = (Xorshift::new(seed), Xorshift::new(seed));
+            for width in (1..=260).chain([511, 512, 513]) {
+                assert_eq!(
+                    fast.next_vec(width),
+                    next_vec_by_bits(&mut oracle, width),
+                    "seed {seed}, width {width}"
+                );
+            }
+        }
     }
 
     #[test]
