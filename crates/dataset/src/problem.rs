@@ -5,7 +5,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-use rtlfixer_sim::testbench::{run_testbench, Clocking, TestbenchError, Xorshift};
+use rtlfixer_sim::testbench::{run_until_mismatch, Clocking, TestbenchError, Xorshift};
 use rtlfixer_sim::value::LogicVec;
 use rtlfixer_sim::{ReferenceModel, SimBackends};
 
@@ -197,7 +197,8 @@ impl Problem {
         verdict
     }
 
-    /// The uncached verdict: compile, elaborate and run the testbench.
+    /// The uncached verdict: compile, elaborate and run the testbench up to
+    /// its first mismatching cycle.
     fn simulate(&self, code: &str, seed: u64) -> Verdict {
         // Shared compile: the frontend runs once per source.
         let analysis = rtlfixer_verilog::compile_shared(code);
@@ -206,11 +207,12 @@ impl Problem {
         }
         let mut golden = (self.golden)();
         let stimuli = self.stimuli(seed);
-        match run_testbench(&analysis, &self.top, golden.as_mut(), &stimuli, &self.clocking) {
-            Ok(result) if result.passed => Verdict::Pass,
+        match run_until_mismatch(&analysis, &self.top, golden.as_mut(), &stimuli, &self.clocking)
+        {
+            Ok(None) => Verdict::Pass,
             // A design that compiles but cannot be simulated (it oscillates)
             // is functionally wrong, not a syntax error.
-            Ok(_) | Err(TestbenchError::Sim(_)) => Verdict::SimMismatch,
+            Ok(Some(_)) | Err(TestbenchError::Sim(_)) => Verdict::SimMismatch,
             Err(TestbenchError::Elab(_)) => Verdict::CompileError,
         }
     }
@@ -418,6 +420,24 @@ mod tests {
             assert!(kind.build().compile(&code, "top_module.v").success, "{kind:?}");
         }
         assert_eq!(p.check(&code), Verdict::SimMismatch);
+    }
+
+    #[test]
+    fn designs_missing_the_problems_output_are_sim_mismatch() {
+        // `human/and8` wants an 8-bit `y = a & b`. Each design below keeps
+        // the logic but not the port: no output, `y` renamed, `y` 4 bits.
+        let p = crate::suites::find_problem("human/and8").expect("exists");
+        for code in [
+            "module top_module(input [7:0] a, input [7:0] b);\n\
+             wire [7:0] y;\nassign y = a & b;\nendmodule",
+            "module top_module(input [7:0] a, input [7:0] b, output [7:0] zz);\n\
+             assign zz = a & b;\nendmodule",
+            "module top_module(input [7:0] a, input [7:0] b, output [3:0] y);\n\
+             assign y = a & b;\nendmodule",
+        ] {
+            assert!(rtlfixer_verilog::compile(code).is_ok(), "{code}");
+            assert_eq!(p.check(code), Verdict::SimMismatch, "{code}");
+        }
     }
 
     /// The stimulus builder `stimuli` replaced: a random frame per cycle

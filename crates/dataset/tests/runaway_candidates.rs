@@ -4,11 +4,17 @@
 //! `reg`. When that name is a loop index, `i < 16` can never become false
 //! and the loop runs to the simulator's 65,536-trip cap on every process
 //! activation. These are the 15 such checks of one Table 2 pass (repair
-//! seed 1), verbatim. Their `Problem::check` verdicts are pinned, and each
-//! check must fast-forward its runaway loop instead of running every trip.
+//! seed 1), verbatim. Their `Problem::check` verdicts are pinned. A full
+//! `run_testbench` over the same stimulus must fast-forward each runaway
+//! loop instead of running every trip; the check itself stops at the first
+//! mismatching cycle, which for `human/rrarb4` comes under reset, before
+//! its loop ever runs, so the check must drive less than the full run.
+
+use std::collections::BTreeMap;
 
 use rtlfixer_dataset::suites::find_problem;
-use rtlfixer_dataset::Verdict;
+use rtlfixer_dataset::{Problem, Verdict};
+use rtlfixer_sim::testbench::run_testbench;
 
 const RRARB4: &str = r"module top_module(input clk, input reset, input [3:0] req, output reg [3:0] gnt);
 reg k;
@@ -150,16 +156,41 @@ const CANDIDATES: [(&str, &str); 15] = [
     ("machine/reverse32", REVERSE32),
 ];
 
+/// Runs `f` in a telemetry episode and returns its counters.
+fn counted<T>(f: impl FnOnce() -> T) -> (T, BTreeMap<String, u64>) {
+    rtlfixer_obs::episode_begin();
+    let out = f();
+    (out, rtlfixer_obs::episode_end().expect("telemetry is on").counters)
+}
+
+/// A full `run_testbench` of `source` at `Problem::check`'s stimulus seed.
+fn full_run(problem: &Problem, source: &str) {
+    let analysis = rtlfixer_verilog::compile_shared(source);
+    let mut golden = (problem.golden)();
+    let stimuli = problem.stimuli(0xC0FFEE);
+    let result =
+        run_testbench(&analysis, &problem.top, golden.as_mut(), &stimuli, &problem.clocking)
+            .expect("the candidate simulates");
+    assert!(!result.passed);
+}
+
 #[test]
 fn runaway_candidates_keep_their_verdicts_and_fast_forward() {
     rtlfixer_obs::set_telemetry(true);
     for (id, source) in CANDIDATES {
         let problem = find_problem(id).expect("corpus problem");
-        rtlfixer_obs::episode_begin();
-        let verdict = problem.check(source);
-        let telemetry = rtlfixer_obs::episode_end().expect("telemetry is on");
-        assert_eq!(verdict, Verdict::SimMismatch, "{id}:\n{source}");
-        let skips = telemetry.counters.get("sim.loop_fast_forwards").copied().unwrap_or(0);
+        let ((), full) = counted(|| full_run(&problem, source));
+        let skips = full.get("sim.loop_fast_forwards").copied().unwrap_or(0);
         assert!(skips > 0, "{id}: the runaway loop was not fast-forwarded\n{source}");
+        let (verdict, check) = counted(|| problem.check(source));
+        assert_eq!(verdict, Verdict::SimMismatch, "{id}:\n{source}");
+        let sweeps = |counters: &BTreeMap<String, u64>| {
+            counters.get("sim.settle_sweeps").copied().unwrap_or(0)
+        };
+        let (ran, bound) = (sweeps(&check), sweeps(&full));
+        assert!(
+            0 < ran && ran < bound,
+            "{id}: the check ran {ran} settle sweeps, the full run {bound}\n{source}"
+        );
     }
 }

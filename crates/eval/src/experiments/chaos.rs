@@ -49,7 +49,7 @@ pub const VARIANTS: &[(&str, bool)] = &[
 pub struct ChaosConfig {
     /// Episode-grid sizing and seeds (shared with the fix-rate grids).
     pub fix: FixRateConfig,
-    /// Fault rates to sweep (site totals; capped at [`CELLS_PER_VARIANT`]).
+    /// Fault rates to sweep (site totals; capped at `CELLS_PER_VARIANT`, 25).
     pub rates: Vec<f64>,
     /// When set, the very first episode of the first cell panics on
     /// purpose, demonstrating that the checked pool contains episode

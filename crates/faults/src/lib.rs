@@ -486,7 +486,8 @@ pub struct FaultKindStats {
 }
 
 /// Point-in-time snapshot of the process-wide fault counters, exported
-/// next to [`rtlfixer-cache`]'s `CacheReport` in throughput artifacts.
+/// next to the artifact caches' `CacheReport` (`rtlfixer_eval::runner`) in
+/// throughput artifacts.
 #[derive(Debug, Clone, serde::Serialize)]
 pub struct FaultReport {
     /// Whether injection was active at snapshot time.

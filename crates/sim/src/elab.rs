@@ -28,7 +28,7 @@ pub enum ElabError {
     TopNotFound(String),
     /// The analysis contains compile errors; refuse to elaborate.
     CompileErrors(usize),
-    /// Instance recursion exceeded [`MAX_DEPTH`].
+    /// Instance recursion exceeded `MAX_DEPTH` (16) levels.
     TooDeep,
     /// A construct the simulator does not support.
     Unsupported(String),

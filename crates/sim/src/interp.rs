@@ -1,5 +1,5 @@
 //! The simulation interpreter: executes the interned execution form
-//! ([`crate::lower::Kernel`]) compiled from an elaborated [`Design`], with
+//! (the `lower` module's `Kernel`) compiled from an elaborated [`Design`], with
 //! two-phase (non-blocking) sequential semantics and settle-to-fixpoint
 //! combinational evaluation.
 //!
@@ -20,12 +20,12 @@
 //!   sweep against a first-touch snapshot, which is equivalent to the old
 //!   whole-state compare (untouched signals cannot differ).
 //!
-//! * When a process carries a compiled tape ([`crate::tape`]), execution
+//! * When a process carries a compiled tape (the `tape` module), execution
 //!   dispatches over its flat register bytecode instead of walking the
 //!   `KExpr` tree — same semantics, no per-evaluation recursion. When the
 //!   input cone is x-free, the tape's two-state variant runs first, over
 //!   1-, 2- or 4-limb `u64` registers; one interpreted loop
-//!   ([`crate::fast`]) runs every register class.
+//!   (the `fast` module) runs every register class.
 //!
 //! Setting `RTLFIXER_SIM_EVENT=0` (or `off`/`false`) disables the
 //! event-driven filter and re-runs every combinational process each sweep;

@@ -17,7 +17,9 @@
 //!    inputs are x-free; the tree walker is the reference the tape must
 //!    match bit for bit.
 //! 3. [`testbench::run_testbench`] compares the device under test against a
-//!    Rust [`testbench::ReferenceModel`] over deterministic stimulus.
+//!    Rust [`testbench::ReferenceModel`] over deterministic stimulus;
+//!    [`testbench::run_until_mismatch`] stops at the first mismatching
+//!    cycle, which is all a verdict needs.
 //!
 //! ## Example
 //!

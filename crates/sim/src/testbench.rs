@@ -6,12 +6,17 @@
 //! stimulus sequence, and comparing outputs cycle by cycle. One run drives
 //! one simulator over one stimulus sequence; a multi-seed check is a loop
 //! of runs.
+//!
+//! Two entry points share one per-cycle step: [`run_testbench`] drives every
+//! cycle and counts every mismatch (the §5 feedback report), and
+//! [`run_until_mismatch`] stops at the first mismatching cycle (a verdict
+//! needs no more).
 
 use std::collections::BTreeMap;
 
 use rtlfixer_verilog::Analysis;
 
-use crate::interp::Simulator;
+use crate::interp::{SimError, Simulator};
 use crate::value::LogicVec;
 
 /// A golden reference implementation of a benchmark problem.
@@ -59,7 +64,8 @@ pub struct Mismatch {
     pub cycle: usize,
     /// Output port name.
     pub port: String,
-    /// DUT value.
+    /// DUT value, at the golden value's width (all-x where the DUT lacks
+    /// the port).
     pub got: LogicVec,
     /// Golden value.
     pub want: LogicVec,
@@ -84,7 +90,7 @@ pub enum TestbenchError {
     /// The DUT failed to elaborate.
     Elab(crate::elab::ElabError),
     /// Simulation failed (combinational loop etc.).
-    Sim(crate::interp::SimError),
+    Sim(SimError),
 }
 
 impl std::fmt::Display for TestbenchError {
@@ -104,13 +110,95 @@ impl From<crate::elab::ElabError> for TestbenchError {
     }
 }
 
-impl From<crate::interp::SimError> for TestbenchError {
-    fn from(e: crate::interp::SimError) -> Self {
+impl From<SimError> for TestbenchError {
+    fn from(e: SimError) -> Self {
         TestbenchError::Sim(e)
     }
 }
 
-/// Runs `model` against the DUT in `analysis` over `stimuli`.
+/// One testbench run in progress: the device under test (DUT) and its
+/// golden model, advanced one stimulus cycle at a time by [`Bench::step`].
+/// Both entry points, [`run_testbench`] and [`run_until_mismatch`], run on
+/// it.
+struct Bench<'m> {
+    sim: Simulator,
+    model: &'m mut dyn ReferenceModel,
+    clocking: &'m Clocking,
+}
+
+impl<'m> Bench<'m> {
+    /// Elaborates `top`, runs its `initial` blocks and resets the model:
+    /// everything that happens before cycle 0.
+    fn new(
+        analysis: &Analysis,
+        top: &str,
+        model: &'m mut dyn ReferenceModel,
+        clocking: &'m Clocking,
+    ) -> Result<Bench<'m>, TestbenchError> {
+        let mut sim = Simulator::new(analysis, top)?;
+        sim.run_initial()?;
+        model.reset();
+        Ok(Bench { sim, model, clocking })
+    }
+
+    /// Drives stimulus cycle `cycle` (poke `inputs`, then settle or clock),
+    /// steps the golden model and compares every output it names. Returns
+    /// how many outputs mismatched; the first mismatch of the run goes into
+    /// `first`, which is left alone once it holds one.
+    ///
+    /// The golden model speaks for the problem's ports. A port the DUT does
+    /// not declare as an output reads as all-x, and a DUT output of another
+    /// width is zero-extended or truncated to the golden width, as a Verilog
+    /// port connection would. Outputs are compared in the DUT's declaration
+    /// order, then any the DUT lacks in the model's order.
+    fn step(
+        &mut self,
+        cycle: usize,
+        inputs: &BTreeMap<String, LogicVec>,
+        first: &mut Option<Mismatch>,
+    ) -> Result<usize, SimError> {
+        for (name, value) in inputs {
+            // Unknown ports are skipped: the golden stimulus may mention
+            // ports the (possibly wrong) DUT does not declare.
+            let _ = self.sim.poke(name, value.clone());
+        }
+        match self.clocking {
+            Clocking::Combinational => self.sim.settle()?,
+            Clocking::Sequential { clock } => self.sim.clock_cycle(clock)?,
+        }
+        let expected = self.model.step(inputs);
+        let sim = &self.sim;
+        let outputs = &sim.design().outputs;
+        let declared = outputs.iter().filter_map(|port| {
+            let (name, want) = expected.get_key_value(&port.name)?;
+            Some((name, want, sim.peek(name)))
+        });
+        let missing = expected
+            .iter()
+            .filter(|(name, _)| !outputs.iter().any(|port| port.name == **name))
+            .map(|(name, want)| (name, want, None));
+        let mut mismatches = 0;
+        for (port, want, got) in declared.chain(missing) {
+            let got = match got {
+                Some(got) if got.width() == want.width() => got,
+                Some(got) => got.resize(want.width()),
+                None => LogicVec::xs(want.width()),
+            };
+            // Equal widths, so case equality is structural equality.
+            if got != *want {
+                mismatches += 1;
+                if first.is_none() {
+                    *first = Some(Mismatch { cycle, port: port.clone(), got, want: want.clone() });
+                }
+            }
+        }
+        Ok(mismatches)
+    }
+}
+
+/// Runs `model` against the DUT in `analysis` over every cycle of
+/// `stimuli`, counting every mismatch: the full report §5's simulation
+/// feedback renders.
 ///
 /// Each stimulus entry maps input-port names to values for that cycle.
 /// Output comparison uses case equality; an `x` produced by the DUT where
@@ -127,45 +215,11 @@ pub fn run_testbench(
     clocking: &Clocking,
 ) -> Result<TestResult, TestbenchError> {
     let _simulate_span = rtlfixer_obs::span(rtlfixer_obs::kind::SIMULATE);
-    let mut sim = Simulator::new(analysis, top)?;
-    sim.run_initial()?;
-    model.reset();
-
-    let output_ports: Vec<(String, u32)> = sim
-        .design()
-        .outputs
-        .iter()
-        .map(|p| (p.name.clone(), p.width))
-        .collect();
-
+    let mut bench = Bench::new(analysis, top, model, clocking)?;
     let mut mismatch_count = 0usize;
     let mut first_mismatch = None;
     for (cycle, inputs) in stimuli.iter().enumerate() {
-        for (name, value) in inputs {
-            // Unknown ports are skipped: the golden stimulus may mention
-            // ports the (possibly wrong) DUT does not declare.
-            let _ = sim.poke(name, value.clone());
-        }
-        match clocking {
-            Clocking::Combinational => sim.settle()?,
-            Clocking::Sequential { clock } => sim.clock_cycle(clock)?,
-        }
-        let expected = model.step(inputs);
-        for (port, width) in &output_ports {
-            let Some(want) = expected.get(port) else { continue };
-            let got = sim.peek(port).unwrap_or_else(|| LogicVec::xs(*width));
-            if got.eq_case(&want.resize(*width)).to_u64() != Some(1) {
-                mismatch_count += 1;
-                if first_mismatch.is_none() {
-                    first_mismatch = Some(Mismatch {
-                        cycle,
-                        port: port.clone(),
-                        got: got.clone(),
-                        want: want.clone(),
-                    });
-                }
-            }
-        }
+        mismatch_count += bench.step(cycle, inputs, &mut first_mismatch)?;
     }
     Ok(TestResult {
         passed: mismatch_count == 0,
@@ -173,6 +227,37 @@ pub fn run_testbench(
         mismatch_count,
         first_mismatch,
     })
+}
+
+/// [`run_testbench`] for a verdict: stops at the first mismatching cycle
+/// and returns that cycle's first mismatch, or `None` once every cycle
+/// matched.
+///
+/// It drives a prefix of the cycles the full run drives, in the same
+/// order: it returns a mismatch exactly when [`run_testbench`] would report
+/// one or fail with a [`SimError`] after one, and `None` only where the
+/// full run passes, so a pass still needs every cycle.
+///
+/// # Errors
+///
+/// Returns [`TestbenchError`] if the DUT fails to elaborate, or fails to
+/// simulate before its first mismatch.
+pub fn run_until_mismatch(
+    analysis: &Analysis,
+    top: &str,
+    model: &mut dyn ReferenceModel,
+    stimuli: &[BTreeMap<String, LogicVec>],
+    clocking: &Clocking,
+) -> Result<Option<Mismatch>, TestbenchError> {
+    let _simulate_span = rtlfixer_obs::span(rtlfixer_obs::kind::SIMULATE);
+    let mut bench = Bench::new(analysis, top, model, clocking)?;
+    let mut first = None;
+    for (cycle, inputs) in stimuli.iter().enumerate() {
+        if bench.step(cycle, inputs, &mut first)? > 0 {
+            break;
+        }
+    }
+    Ok(first)
 }
 
 /// A tiny deterministic PRNG (xorshift64*) for stimulus generation, so the
@@ -260,6 +345,89 @@ mod tests {
         assert_eq!(mm.port, "y");
         assert_eq!(mm.got.to_u64(), Some(0));
         assert_eq!(mm.want.to_u64(), Some(1));
+    }
+
+    #[test]
+    fn verdict_run_stops_at_the_first_mismatching_cycle() {
+        // DUT computes AND, golden wants OR: they differ only where a != b.
+        let analysis = compile(
+            "module orr(input a, input b, output y); assign y = a & b; endmodule",
+        );
+        let stimuli = vec![
+            inputs(&[("a", 1, 1), ("b", 1, 1)]),
+            inputs(&[("a", 1, 0), ("b", 1, 0)]),
+            inputs(&[("a", 1, 1), ("b", 1, 0)]),
+            inputs(&[("a", 1, 0), ("b", 1, 1)]),
+            inputs(&[("a", 1, 1), ("b", 1, 1)]),
+        ];
+        let steps = std::cell::Cell::new(0);
+        let mut model = |ins: &BTreeMap<String, LogicVec>| {
+            steps.set(steps.get() + 1);
+            BTreeMap::from([("y".to_owned(), ins["a"].or(&ins["b"]))])
+        };
+        let first =
+            run_until_mismatch(&analysis, "orr", &mut model, &stimuli, &Clocking::Combinational)
+                .unwrap();
+        assert_eq!(steps.get(), 3, "cycles after the first mismatch must not run");
+        let full =
+            run_testbench(&analysis, "orr", &mut model, &stimuli, &Clocking::Combinational)
+                .unwrap();
+        assert_eq!(full.mismatch_count, 2);
+        assert_eq!(first, full.first_mismatch);
+        assert_eq!(first.map(|m| m.cycle), Some(2));
+    }
+
+    #[test]
+    fn verdict_run_needs_every_cycle_to_pass() {
+        let analysis =
+            compile("module inv(input [3:0] a, output [3:0] y); assign y = ~a; endmodule");
+        let steps = std::cell::Cell::new(0);
+        let mut model = |ins: &BTreeMap<String, LogicVec>| {
+            steps.set(steps.get() + 1);
+            BTreeMap::from([("y".to_owned(), ins["a"].not())])
+        };
+        let stimuli: Vec<_> = (0..16).map(|i| inputs(&[("a", 4, i)])).collect();
+        let first =
+            run_until_mismatch(&analysis, "inv", &mut model, &stimuli, &Clocking::Combinational)
+                .unwrap();
+        assert_eq!(first, None);
+        assert_eq!(steps.get(), 16);
+    }
+
+    #[test]
+    fn outputs_are_judged_on_the_models_ports() {
+        // The golden model names `y` (8 bits); the DUT's own ports do not
+        // decide what is compared.
+        let mut model = |ins: &BTreeMap<String, LogicVec>| {
+            BTreeMap::from([("y".to_owned(), ins["a"].clone())])
+        };
+        let stimuli = vec![inputs(&[("a", 8, 0xA5)])];
+        let run = |source: &str, model: &mut dyn ReferenceModel| {
+            let analysis = compile(source);
+            run_testbench(&analysis, "m", model, &stimuli, &Clocking::Combinational).unwrap()
+        };
+        // An internal net named `y` is not an output port: it reads as x.
+        let hidden = run(
+            "module m(input [7:0] a); wire [7:0] y; assign y = a; endmodule",
+            &mut model,
+        );
+        let mm = hidden.first_mismatch.expect("a missing output mismatches");
+        assert_eq!((mm.port.as_str(), mm.got), ("y", LogicVec::xs(8)));
+        // A narrower port is zero-extended to the golden width.
+        let narrow = run(
+            "module m(input [7:0] a, output [3:0] y); assign y = a; endmodule",
+            &mut model,
+        );
+        let mm = narrow.first_mismatch.expect("the high nibble is lost");
+        assert_eq!(mm.got, LogicVec::from_u64(8, 0x05));
+        // A wider port is truncated, and outputs the model does not name
+        // are ignored.
+        let wide = run(
+            "module m(input [7:0] a, output [11:0] y, output z); \
+             assign y = {4'hF, a}; assign z = 1'b1; endmodule",
+            &mut model,
+        );
+        assert!(wide.passed, "{:?}", wide.first_mismatch);
     }
 
     #[test]

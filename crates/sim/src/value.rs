@@ -6,11 +6,11 @@
 //! which are tracked per-literal by the interpreter). Benchmark designs go
 //! up to 256 bits (`conwaylife`), so widths are unbounded — but the
 //! overwhelming majority are 64 bits or narrower, so those live in a
-//! single inline limb pair ([`Repr::Small`]) and never touch the heap.
+//! single inline limb pair (`Repr::Small`) and never touch the heap.
 //!
 //! Two representation invariants hold everywhere (constructors normalise):
 //!
-//! * `width <= 64` ⇔ [`Repr::Small`], so the derived `PartialEq`/`Hash`
+//! * `width <= 64` ⇔ `Repr::Small`, so the derived `PartialEq`/`Hash`
 //!   never compare across representations;
 //! * `val & unk == 0` and bits ≥ `width` are clear in both planes, so equal
 //!   logical values are limb-identical.
