@@ -17,7 +17,8 @@ use serde::{Deserialize, Serialize};
 
 use rtlfixer_verilog::diag::ErrorCategory;
 
-use crate::text::{TfIdfIndex, TokenSet};
+use crate::retriever::tfidf_corpus;
+use crate::text::{Corpus, TfIdfIndex, TokenSet};
 
 /// Which compiler's log style a database was curated against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -212,14 +213,20 @@ impl<'de> Deserialize<'de> for ErrorCategorySlug {
 /// first lexical retrieval (see [`crate::retriever::shared_tfidf_index`]),
 /// each entry's exemplar token set, and each entry's rendered repair brief
 /// ([`GuidanceDatabase::brief`]) — is computed once per database and can
-/// never go stale.
+/// never go stale. Entries are shared: a database extended by the
+/// distilled store holds the base's entries, briefs and TF-IDF documents
+/// by handle, so only its index is its own.
 #[derive(Clone)]
 pub struct GuidanceDatabase {
     /// Which compiler this database was curated against.
     pub edition: DatabaseEdition,
-    entries: Vec<GuidanceEntry>,
+    entries: Vec<Arc<GuidanceEntry>>,
     /// Lexical index over `entries`, filled on the first retrieval.
     pub(crate) tfidf: OnceLock<TfIdfIndex>,
+    /// Each entry's TF-IDF document and the vocabulary numbering it:
+    /// tokenized from [`tfidf_corpus`] on first use, or handed over by the
+    /// distilled store.
+    corpus: OnceLock<Corpus>,
     /// Token set of each entry's log exemplar, filled on the first Jaccard
     /// retrieval.
     exemplar_tokens: OnceLock<Box<[TokenSet]>>,
@@ -271,20 +278,56 @@ fn entry(
 }
 
 impl GuidanceDatabase {
-    /// A database over `entries`, curated against `edition`.
-    pub fn new(edition: DatabaseEdition, entries: Vec<GuidanceEntry>) -> Self {
+    /// A database over `entries` (owned, or shared with another database),
+    /// curated against `edition`.
+    pub fn new<E: Into<Arc<GuidanceEntry>>>(
+        edition: DatabaseEdition,
+        entries: impl IntoIterator<Item = E>,
+    ) -> Self {
         GuidanceDatabase {
             edition,
-            entries,
+            entries: entries.into_iter().map(Into::into).collect(),
             tfidf: OnceLock::new(),
+            corpus: OnceLock::new(),
             exemplar_tokens: OnceLock::new(),
             briefs: OnceLock::new(),
         }
     }
 
+    /// A database whose briefs and TF-IDF documents are already derived,
+    /// one per entry in order (the distilled store's merged databases).
+    pub(crate) fn derived(
+        edition: DatabaseEdition,
+        entries: Vec<Arc<GuidanceEntry>>,
+        briefs: Box<[Arc<str>]>,
+        corpus: Corpus,
+    ) -> Self {
+        debug_assert!(briefs.len() == entries.len() && corpus.docs.len() == entries.len());
+        GuidanceDatabase {
+            edition,
+            entries,
+            tfidf: OnceLock::new(),
+            corpus: OnceLock::from(corpus),
+            exemplar_tokens: OnceLock::new(),
+            briefs: OnceLock::from(briefs),
+        }
+    }
+
     /// All entries, in database order.
-    pub fn entries(&self) -> &[GuidanceEntry] {
+    pub fn entries(&self) -> &[Arc<GuidanceEntry>] {
         &self.entries
+    }
+
+    /// Every entry's TF-IDF document, tokenized on first use.
+    pub(crate) fn corpus(&self) -> &Corpus {
+        self.corpus.get_or_init(|| Corpus::tokenize(&tfidf_corpus(self)))
+    }
+
+    /// Every entry's rendered repair brief, in database order.
+    pub(crate) fn briefs(&self) -> &[Arc<str>] {
+        self.briefs.get_or_init(|| {
+            self.entries.iter().map(|entry| Arc::from(entry.render_brief())).collect()
+        })
     }
 
     /// The rendered repair brief of the entry at `index` (database order),
@@ -296,10 +339,7 @@ impl GuidanceDatabase {
     ///
     /// Panics when `index` is out of range.
     pub fn brief(&self, index: usize) -> &Arc<str> {
-        let briefs = self.briefs.get_or_init(|| {
-            self.entries.iter().map(|entry| Arc::from(entry.render_brief())).collect()
-        });
-        &briefs[index]
+        &self.briefs()[index]
     }
 
     /// The token set of every entry's log exemplar, in database order,
@@ -360,7 +400,7 @@ impl GuidanceDatabase {
 
     /// Entries whose category is `category`.
     pub fn entries_for(&self, category: ErrorCategory) -> Vec<&GuidanceEntry> {
-        self.entries.iter().filter(|e| e.category.0 == category).collect()
+        self.entries.iter().map(|e| &**e).filter(|e| e.category.0 == category).collect()
     }
 
     /// Distinct categories covered.
@@ -374,7 +414,8 @@ impl GuidanceDatabase {
     /// Serialises to pretty JSON (for inspection / the open-sourced
     /// artifact).
     pub fn to_json(&self) -> String {
-        let json = DatabaseJson { edition: self.edition, entries: self.entries.clone() };
+        let entries = self.entries.iter().map(|entry| (**entry).clone()).collect();
+        let json = DatabaseJson { edition: self.edition, entries };
         serde_json::to_string_pretty(&json).expect("database serialises")
     }
 

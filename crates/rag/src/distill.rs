@@ -24,14 +24,24 @@
 //!   store can never be read through a stale index. The store caches only
 //!   the current generation's merged databases; an older one, and its
 //!   index, is freed when the last episode holding it drops it.
+//!
+//! A generation re-reads no text. A merge derives what every generation
+//! needs from each entry it inserts — its database row, its rendered
+//! brief and its TF-IDF terms — once; each base database derives the same
+//! for its own entries once. A merged database holds all of these by
+//! handle, and its index is assembled from the entries' term runs, which
+//! each base's vocabulary extension numbers once per distilled entry.
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
+use rtlfixer_cache::Fingerprint128;
 use rtlfixer_verilog::diag::ErrorCategory;
 
 use crate::database::{category_brief, ErrorCategorySlug, GuidanceDatabase, GuidanceEntry};
 use crate::retriever::rag_switch_on;
+use crate::text::{Corpus, TermCounts, TermRuns, Vocabulary};
 
 /// Hard cap on distilled entries: the store is a cache of repair shapes,
 /// not an unbounded log. Beyond the cap new shapes are dropped (counted by
@@ -54,29 +64,44 @@ pub fn distill_enabled() -> bool {
 /// Fingerprint of a compiler log's error *shape*: digit runs collapse to
 /// `#` and quoted names to `~`, so the same diagnostic at a different line
 /// number or signal name maps to the same distilled entry.
+///
+/// The normalised log is hashed as it is read: runs of other bytes go into
+/// the hash straight from the log. Digits and quotes are ASCII, and no
+/// byte of a multi-byte UTF-8 character is, so a byte scan finds exactly
+/// the characters a character scan would.
 pub fn log_fingerprint(log: &str) -> u128 {
-    let mut normalized = String::with_capacity(log.len());
-    let mut chars = log.chars().peekable();
-    while let Some(c) = chars.next() {
-        if c.is_ascii_digit() {
-            while chars.peek().is_some_and(char::is_ascii_digit) {
-                chars.next();
+    let bytes = log.as_bytes();
+    let mut hash = Fingerprint128::new();
+    // `bytes[kept..at]` is the run of plain bytes not yet hashed.
+    let (mut kept, mut at) = (0, 0);
+    while at < bytes.len() {
+        let byte = bytes[at];
+        let stands_for: &[u8] = if byte.is_ascii_digit() {
+            hash.write(&bytes[kept..at]);
+            while at < bytes.len() && bytes[at].is_ascii_digit() {
+                at += 1;
             }
-            normalized.push('#');
-        } else if c == '"' || c == '\'' {
-            let quote = c;
-            while let Some(&next) = chars.peek() {
-                chars.next();
-                if next == quote {
+            b"#"
+        } else if byte == b'"' || byte == b'\'' {
+            hash.write(&bytes[kept..at]);
+            at += 1;
+            // Up to and including the closing quote, or to the end.
+            while at < bytes.len() {
+                at += 1;
+                if bytes[at - 1] == byte {
                     break;
                 }
             }
-            normalized.push('~');
+            b"~"
         } else {
-            normalized.push(c);
-        }
+            at += 1;
+            continue;
+        };
+        hash.write(stands_for);
+        kept = at;
     }
-    rtlfixer_cache::fingerprint128(normalized.as_bytes())
+    hash.write(&bytes[kept..]);
+    hash.finish()
 }
 
 /// One distilled repair brief: the error shape it covers, the exemplar log
@@ -146,18 +171,44 @@ impl DistilledEntry {
     }
 }
 
+/// A distilled entry with what every merged database derives from it,
+/// built once, when a merge inserts it.
+#[derive(Debug)]
+struct Distilled {
+    entry: DistilledEntry,
+    /// The entry as a database row.
+    row: Arc<GuidanceEntry>,
+    /// The row's [`GuidanceEntry::render_brief`].
+    brief: Arc<str>,
+    /// The row's TF-IDF document, before a base's vocabulary numbers it.
+    terms: TermCounts,
+    /// Insertion position in the store: the entry's slot in each
+    /// [`Extension::docs`].
+    seq: usize,
+}
+
+impl Distilled {
+    fn new(entry: &DistilledEntry, seq: usize) -> Self {
+        let row = entry.as_guidance_entry();
+        let brief = Arc::from(row.render_brief());
+        // The document `tfidf_corpus` makes of the row.
+        let terms = TermCounts::new(&format!("{} {}", row.log_exemplar, row.guidance));
+        Distilled { entry: entry.clone(), row: Arc::new(row), brief, terms, seq }
+    }
+}
+
 /// An immutable view of the store at one generation. Episodes hold a
 /// snapshot for their whole lifetime; merges build new snapshots.
 #[derive(Debug, Default)]
 pub struct DistilledSnapshot {
-    entries: BTreeMap<u128, DistilledEntry>,
+    entries: BTreeMap<u128, Arc<Distilled>>,
     generation: u64,
 }
 
 impl DistilledSnapshot {
     /// Looks up the distilled entry for a compiler log, if one exists.
     pub fn lookup(&self, log: &str) -> Option<&DistilledEntry> {
-        self.entries.get(&log_fingerprint(log))
+        self.entries.get(&log_fingerprint(log)).map(|distilled| &distilled.entry)
     }
 
     /// Number of distilled entries.
@@ -185,19 +236,64 @@ impl DistilledSnapshot {
 #[derive(Debug, Default)]
 pub struct DistilledStore {
     current: Mutex<Arc<DistilledSnapshot>>,
-    /// The current generation's merged databases, one per base, at most
-    /// [`MAX_MERGED_BASES`].
-    merged: Mutex<Vec<Merged>>,
+    /// One extension per base database merged into, at most
+    /// [`MAX_MERGED_BASES`], each holding that base's current merged
+    /// database.
+    bases: Mutex<Vec<Extension>>,
 }
 
-/// One cached merged database, keyed by the identity of its base `Arc` and
-/// the generation it covers. Holding the base keeps its address from being
-/// reused by another database while the entry lives.
+/// What the store keeps per base database, keyed by the identity of the
+/// base `Arc`. Holding the base keeps its address from being reused by
+/// another database while the extension lives.
 #[derive(Debug)]
-struct Merged {
+struct Extension {
     base: Arc<GuidanceDatabase>,
-    generation: u64,
-    db: Arc<GuidanceDatabase>,
+    /// The base's vocabulary, extended with the distilled terms it lacks.
+    vocab: Vocabulary,
+    /// Each distilled entry's TF-IDF document numbered in `vocab`, by
+    /// insertion position; filled when a generation first holds the entry.
+    docs: Vec<Option<TermRuns>>,
+    /// The merged database of the newest generation built, with that
+    /// generation; dropped by the next inserting merge.
+    merged: Option<(u64, Arc<GuidanceDatabase>)>,
+}
+
+impl Extension {
+    fn new(base: &Arc<GuidanceDatabase>) -> Self {
+        Extension {
+            base: Arc::clone(base),
+            vocab: base.corpus().vocab.extended(),
+            docs: Vec::new(),
+            merged: None,
+        }
+    }
+
+    /// The base extended with `snapshot`'s entries, in fingerprint order.
+    /// Everything but the TF-IDF index is shared, and only entries this
+    /// base has not held before get their terms numbered.
+    fn build(&mut self, snapshot: &DistilledSnapshot) -> GuidanceDatabase {
+        let base = &self.base;
+        let base_corpus = base.corpus();
+        let len = base.entries().len() + snapshot.len();
+        let mut entries = Vec::with_capacity(len);
+        let mut briefs = Vec::with_capacity(len);
+        let mut docs = Vec::with_capacity(len);
+        entries.extend(base.entries().iter().cloned());
+        briefs.extend(base.briefs().iter().cloned());
+        docs.extend(base_corpus.docs.iter().cloned());
+        if self.docs.len() < snapshot.len() {
+            self.docs.resize(snapshot.len(), None);
+        }
+        for distilled in snapshot.entries.values() {
+            entries.push(Arc::clone(&distilled.row));
+            briefs.push(Arc::clone(&distilled.brief));
+            let doc =
+                self.docs[distilled.seq].get_or_insert_with(|| self.vocab.number(&distilled.terms));
+            docs.push(Arc::clone(doc));
+        }
+        let corpus = Corpus { vocab: self.vocab.clone(), docs };
+        GuidanceDatabase::derived(base.edition, entries, briefs.into(), corpus)
+    }
 }
 
 impl DistilledStore {
@@ -221,10 +317,12 @@ impl DistilledStore {
         self.snapshot().is_empty()
     }
 
-    /// Merges distilled entries, first-wins per fingerprint, capped at
-    /// [`MAX_DISTILLED`]. Returns how many entries were actually inserted;
-    /// the generation bumps only when that is non-zero, so repeat merges
-    /// of known shapes are free (no snapshot churn, no index rebuilds).
+    /// Merges distilled entries, first-wins per fingerprint (within the
+    /// batch too), capped at [`MAX_DISTILLED`]. Returns how many entries
+    /// were actually inserted; the generation bumps only when that is
+    /// non-zero, so repeat merges of known shapes and merges into a full
+    /// store are free (no snapshot churn, no index rebuilds). Each inserted
+    /// entry is tokenized here, once.
     ///
     /// Determinism contract: with a fixed call order (the eval runner
     /// merges at the pool barrier in grid index order) the resulting
@@ -235,11 +333,9 @@ impl DistilledStore {
             return 0;
         }
         let mut current = self.current.lock().expect("distill store lock");
-        let novel: Vec<&DistilledEntry> = entries
-            .iter()
-            .filter(|e| !current.entries.contains_key(&e.fingerprint))
-            .collect();
-        if novel.is_empty() {
+        if current.entries.len() >= MAX_DISTILLED
+            || entries.iter().all(|e| current.entries.contains_key(&e.fingerprint))
+        {
             return 0;
         }
         let mut next = DistilledSnapshot {
@@ -247,22 +343,23 @@ impl DistilledStore {
             generation: current.generation + 1,
         };
         let mut inserted = 0;
-        for entry in novel {
-            if next.entries.len() >= MAX_DISTILLED {
+        for entry in entries {
+            let seq = next.entries.len();
+            if seq >= MAX_DISTILLED {
                 break;
             }
-            if next.entries.insert(entry.fingerprint, entry.clone()).is_none() {
+            if let Entry::Vacant(slot) = next.entries.entry(entry.fingerprint) {
+                slot.insert(Arc::new(Distilled::new(entry, seq)));
                 inserted += 1;
             }
         }
-        if inserted == 0 {
-            return 0;
-        }
         *current = Arc::new(next);
         drop(current);
-        // The cached merged databases cover the old generation: release
-        // them so each is freed with its last episode.
-        self.merged.lock().expect("distill merge cache lock").clear();
+        // The merged databases cover the old generation: release them so
+        // each is freed with its last episode.
+        for extension in self.bases.lock().expect("distill merge cache lock").iter_mut() {
+            extension.merged = None;
+        }
         inserted
     }
 
@@ -277,23 +374,29 @@ impl DistilledStore {
             return Arc::clone(base);
         }
         let generation = snapshot.generation();
-        let mut cache = self.merged.lock().expect("distill merge cache lock");
-        if let Some(hit) =
-            cache.iter().find(|m| m.generation == generation && Arc::ptr_eq(&m.base, base))
-        {
-            return Arc::clone(&hit.db);
+        let mut bases = self.bases.lock().expect("distill merge cache lock");
+        let at = match bases.iter().position(|ext| Arc::ptr_eq(&ext.base, base)) {
+            Some(at) => at,
+            None => {
+                if bases.len() == MAX_MERGED_BASES {
+                    bases.remove(0);
+                }
+                bases.push(Extension::new(base));
+                bases.len() - 1
+            }
+        };
+        let extension = &mut bases[at];
+        if let Some((built, db)) = &extension.merged {
+            if *built == generation {
+                return Arc::clone(db);
+            }
         }
-        let mut entries = base.entries().to_vec();
-        entries.extend(snapshot.entries.values().map(DistilledEntry::as_guidance_entry));
-        let db = Arc::new(GuidanceDatabase::new(base.edition, entries));
-        // Older generations are dead: every new episode snapshots the
-        // current one. A merge that overtook our snapshot may have left
-        // newer entries; those stay.
-        cache.retain(|m| m.generation >= generation);
-        if cache.len() == MAX_MERGED_BASES {
-            cache.remove(0);
+        let db = Arc::new(extension.build(&snapshot));
+        // A merge that overtook our snapshot may have left a newer
+        // generation; it stays.
+        if extension.merged.as_ref().is_none_or(|(built, _)| *built < generation) {
+            extension.merged = Some((generation, Arc::clone(&db)));
         }
-        cache.push(Merged { base: Arc::clone(base), generation, db: Arc::clone(&db) });
         db
     }
 }
@@ -301,7 +404,8 @@ impl DistilledStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::retriever::shared_tfidf_index;
+    use crate::retriever::{shared_tfidf_index, tfidf_corpus};
+    use crate::text::TfIdfIndex;
 
     fn entry(tag: u8) -> DistilledEntry {
         DistilledEntry::from_episode(
@@ -319,6 +423,69 @@ mod tests {
         assert_eq!(a, b, "line numbers and quoted names must not split shapes");
         let c = log_fingerprint("main.sv(2): index 8 out of range");
         assert_ne!(a, c, "different messages are different shapes");
+    }
+
+    /// The fingerprint as first written: the whole log normalised into a
+    /// new string, then hashed. Kept as the oracle of the streamed hash.
+    fn normalised_fingerprint(log: &str) -> u128 {
+        let mut normalized = String::with_capacity(log.len());
+        let mut chars = log.chars().peekable();
+        while let Some(c) = chars.next() {
+            if c.is_ascii_digit() {
+                while chars.peek().is_some_and(char::is_ascii_digit) {
+                    chars.next();
+                }
+                normalized.push('#');
+            } else if c == '"' || c == '\'' {
+                let quote = c;
+                while let Some(&next) = chars.peek() {
+                    chars.next();
+                    if next == quote {
+                        break;
+                    }
+                }
+                normalized.push('~');
+            } else {
+                normalized.push(c);
+            }
+        }
+        rtlfixer_cache::fingerprint128(normalized.as_bytes())
+    }
+
+    #[test]
+    fn streamed_fingerprint_equals_the_normalised_string_hash() {
+        let mut logs: Vec<String> = [
+            "",
+            "7",
+            "\"",
+            "'",
+            "''",
+            "main.sv(2): object \"clk\" is not declared",
+            "Error (10161): at main.sv(17): object 'reset_n' is 'not declared",
+            "unterminated \"quote with 12 digits",
+            "mixed \"a'b\" 'c\"d' 99x9 caf\u{e9} \u{1F600}42\u{1F600}",
+            "trailing digits 123",
+        ]
+        .iter()
+        .map(|s| (*s).to_owned())
+        .collect();
+        // Seeded pseudo-random logs over the characters that matter.
+        let alphabet: Vec<char> = "ab 0179\"'\u{e9}\u{1F600}:()\n".chars().collect();
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        for len in 0..400 {
+            let log: String = (0..len % 40)
+                .map(|_| {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    alphabet[(state % alphabet.len() as u64) as usize]
+                })
+                .collect();
+            logs.push(log);
+        }
+        for log in &logs {
+            assert_eq!(log_fingerprint(log), normalised_fingerprint(log), "{log:?}");
+        }
     }
 
     #[test]
@@ -374,7 +541,7 @@ mod tests {
         for _ in 0..3 * MAX_MERGED_BASES {
             store.merged_database(&Arc::new(GuidanceDatabase::iverilog()));
         }
-        assert_eq!(store.merged.lock().unwrap().len(), MAX_MERGED_BASES);
+        assert_eq!(store.bases.lock().unwrap().len(), MAX_MERGED_BASES);
     }
 
     #[test]
@@ -394,18 +561,73 @@ mod tests {
         assert_eq!(new.entries().len(), base.entries().len() + 2);
     }
 
-    #[test]
-    fn cap_bounds_the_store() {
-        let store = DistilledStore::new();
-        let entries: Vec<DistilledEntry> = (0..MAX_DISTILLED + 10)
+    /// `count` entries of distinct shapes, starting at shape `from`.
+    fn shapes(from: usize, count: usize) -> Vec<DistilledEntry> {
+        (from..from + count)
             .map(|i| {
                 // Letters, not digits: digits normalise away.
                 let shape: String =
                     format!("{i:04}").chars().map(|c| (b'a' + (c as u8 - b'0')) as char).collect();
                 DistilledEntry::from_episode(&shape, ErrorCategory::SyntaxError, 1, 1)
             })
-            .collect();
-        store.merge(&entries);
+            .collect()
+    }
+
+    #[test]
+    fn an_older_snapshot_reads_newer_vocabulary_terms_as_unseen() {
+        // A generation built after a newer one numbered its terms: those
+        // terms are in the vocabulary, below the index's term count, yet
+        // no document of this generation holds them.
+        let base = GuidanceDatabase::quartus_shared();
+        let store = DistilledStore::new();
+        let shape = |log| DistilledEntry::from_episode(log, ErrorCategory::SyntaxError, 1, 1);
+        store.merge(&[shape("xyzzy plugh")]);
+        let older = store.snapshot();
+        store.merge(&[shape("frobnitz gnusto")]);
+        store.merged_database(&base);
+        let late = store.bases.lock().unwrap()[0].build(&older);
+        assert_eq!(late.entries().len(), base.entries().len() + 1);
+        let from_text = TfIdfIndex::new(&tfidf_corpus(&late));
+        let index = shared_tfidf_index(&late);
+        for query in ["", "frobnitz", "gnusto frobnitz xyzzy", "xyzzy error", "error syntax near"] {
+            let bits = |scores: Vec<f64>| scores.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+            assert_eq!(bits(index.scores(query)), bits(from_text.scores(query)), "{query:?}");
+        }
+    }
+
+    #[test]
+    fn cap_bounds_the_store() {
+        let store = DistilledStore::new();
+        assert_eq!(store.merge(&shapes(0, MAX_DISTILLED + 10)), MAX_DISTILLED);
         assert_eq!(store.len(), MAX_DISTILLED);
+    }
+
+    #[test]
+    fn a_full_store_leaves_its_snapshot_alone() {
+        let store = DistilledStore::new();
+        store.merge(&shapes(0, MAX_DISTILLED));
+        let full = store.snapshot();
+        let base = GuidanceDatabase::iverilog_shared();
+        let merged = store.merged_database(&base);
+        // Novel shapes no longer fit: nothing is inserted, the snapshot is
+        // the very same one and the generation stays.
+        for batch in [shapes(MAX_DISTILLED, 1), shapes(MAX_DISTILLED + 1, 3)] {
+            assert_eq!(store.merge(&batch), 0);
+            assert!(Arc::ptr_eq(&full, &store.snapshot()));
+            assert_eq!(store.snapshot().generation(), full.generation());
+        }
+        assert!(Arc::ptr_eq(&merged, &store.merged_database(&base)), "no rebuild at the cap");
+    }
+
+    #[test]
+    fn first_wins_within_one_batch() {
+        let store = DistilledStore::new();
+        let first = entry(1);
+        let mut second = entry(2);
+        second.guidance = "later payload".into();
+        assert_eq!(first.fingerprint, second.fingerprint);
+        assert_eq!(store.merge(&[first.clone(), second]), 1);
+        let log = "error: object 'x' is not declared at line 9";
+        assert_eq!(store.snapshot().lookup(log).unwrap().guidance, first.guidance);
     }
 }

@@ -201,7 +201,7 @@ impl Retriever for ExactTagRetriever {
             .filter_map(|(index, e)| {
                 let tag = e.error_tag?;
                 let rank = tags.iter().position(|&t| t == tag)?;
-                Some((rank, index, e))
+                Some((rank, index, &**e))
             })
             .collect();
         hits.sort_by_key(|&(rank, _, _)| rank);
@@ -306,13 +306,15 @@ pub fn tfidf_corpus(db: &GuidanceDatabase) -> Vec<String> {
 
 /// The TF-IDF index of `db`, built on first use and owned by the database.
 ///
-/// Indexing tokenises every entry and computes document frequencies —
-/// far too expensive to redo per retrieval call when a ReAct experiment
-/// issues one retrieval per compile failure. Concurrent first calls build
-/// once; every caller gets the same index for as long as the database
-/// lives.
+/// Indexing computes document frequencies over every entry — far too
+/// expensive to redo per retrieval call when a ReAct experiment issues one
+/// retrieval per compile failure. Concurrent first calls build once; every
+/// caller gets the same index for as long as the database lives. The
+/// build reads each entry's cached term runs: a database tokenizes its own
+/// entries once, and a distilled store's merged database reuses the terms
+/// of the base and of every distilled entry, so it tokenizes nothing.
 pub fn shared_tfidf_index(db: &GuidanceDatabase) -> &TfIdfIndex {
-    db.tfidf.get_or_init(|| TfIdfIndex::new(&tfidf_corpus(db)))
+    db.tfidf.get_or_init(|| TfIdfIndex::assemble(db.corpus()))
 }
 
 impl Retriever for TfIdfRetriever {

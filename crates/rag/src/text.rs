@@ -1,7 +1,9 @@
 //! Text utilities shared by the retrievers and (via this crate) the dataset
 //! curation pipeline: tokenisation, Jaccard similarity and TF-IDF cosine.
 
+use std::cell::Cell;
 use std::collections::HashMap;
+use std::sync::{Arc, RwLock};
 
 /// Splits text into lowercase alphanumeric tokens; numbers survive as
 /// tokens so error tags like `10161` are matchable.
@@ -123,74 +125,256 @@ pub fn jaccard_distance(a: &str, b: &str) -> f64 {
     1.0 - jaccard_similarity(a, b)
 }
 
+thread_local! {
+    static TOKENIZED: Cell<u64> = const { Cell::new(0) };
+}
+
+/// How many documents the calling thread has tokenized into TF-IDF terms:
+/// one per document of a plain-text corpus ([`TfIdfIndex::new`], a base
+/// database's first index) and one per entry a distilled store's merge
+/// inserts. Assembling a grown store's index reads cached terms and adds
+/// nothing, which is what tests and profiles read this count to check.
+pub fn documents_tokenized() -> u64 {
+    TOKENIZED.with(Cell::get)
+}
+
+fn count_tokenized(documents: usize) {
+    TOKENIZED.with(|count| count.set(count.get() + documents as u64));
+}
+
+/// A TF-IDF document: its distinct terms as `(term id, count)` runs, in
+/// lexicographic term order. Shared by every index whose corpus holds the
+/// document.
+pub(crate) type TermRuns = Arc<[(u32, u32)]>;
+
+/// Term names to term ids.
+type TermIds = HashMap<Box<str>, u32>;
+
+/// The term ids of a TF-IDF corpus.
+///
+/// A tokenized corpus ([`Corpus::tokenize`]) numbers its terms in
+/// lexicographic order, and that map never changes. A distilled store
+/// extends it, once per base database, with the terms of the entries it
+/// merges ([`Vocabulary::extended`]): extension ids continue after the
+/// base's in order of first sight and are never reassigned, so an index
+/// assembled earlier stays valid and treats an id at or past its own term
+/// count as a term it never saw.
+#[derive(Debug, Clone)]
+pub(crate) struct Vocabulary {
+    base: Arc<TermIds>,
+    extension: Option<Arc<RwLock<TermIds>>>,
+}
+
+impl Vocabulary {
+    /// The same base with a new, empty extension.
+    pub(crate) fn extended(&self) -> Vocabulary {
+        Vocabulary { base: Arc::clone(&self.base), extension: Some(Arc::default()) }
+    }
+
+    /// Number of ids handed out so far.
+    pub(crate) fn len(&self) -> usize {
+        let extension = self.extension.as_ref();
+        self.base.len() + extension.map_or(0, |ext| ext.read().expect("vocabulary lock").len())
+    }
+
+    /// Numbers a document's terms, giving each term the base lacks the next
+    /// extension id.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a vocabulary that was not [`extended`](Self::extended).
+    pub(crate) fn number(&self, terms: &TermCounts) -> TermRuns {
+        let mut ext = self
+            .extension
+            .as_ref()
+            .expect("only an extended vocabulary numbers new terms")
+            .write()
+            .expect("vocabulary lock");
+        terms
+            .iter()
+            .map(|(term, count)| {
+                let id = match self.base.get(term) {
+                    Some(&id) => id,
+                    None => {
+                        let next = (self.base.len() + ext.len()) as u32;
+                        *ext.entry(Box::from(term)).or_insert(next)
+                    }
+                };
+                (id, count)
+            })
+            .collect()
+    }
+}
+
+/// A document's distinct terms and their counts, in lexicographic order,
+/// before any vocabulary numbers them: what a distilled entry keeps of its
+/// one tokenization, so each base database's vocabulary can number it
+/// without reading the text again.
+#[derive(Debug)]
+pub(crate) struct TermCounts {
+    /// The distinct terms, joined by single spaces (no term holds one).
+    terms: Box<str>,
+    counts: Box<[u32]>,
+}
+
+impl TermCounts {
+    /// Tokenizes `text` as [`tokenize`] does.
+    pub(crate) fn new(text: &str) -> Self {
+        count_tokenized(1);
+        let lowered = text.to_ascii_lowercase();
+        let sorted = sorted_tokens(&lowered);
+        let runs: Vec<&[&str]> = sorted.chunk_by(|a, b| a == b).collect();
+        let terms = runs.iter().map(|run| run[0]).collect::<Vec<_>>().join(" ");
+        TermCounts {
+            terms: terms.into(),
+            counts: runs.iter().map(|run| run.len() as u32).collect(),
+        }
+    }
+
+    fn iter(&self) -> impl Iterator<Item = (&str, u32)> {
+        // An empty `terms` splits into one empty string; the empty
+        // `counts` ends the zip before it.
+        self.terms.split(' ').zip(self.counts.iter().copied())
+    }
+}
+
+/// A tokenized TF-IDF corpus: each document's term runs and the vocabulary
+/// that numbers them. [`TfIdfIndex::assemble`] builds an index from it
+/// without reading any text.
+#[derive(Debug, Clone)]
+pub(crate) struct Corpus {
+    pub(crate) vocab: Vocabulary,
+    pub(crate) docs: Vec<TermRuns>,
+}
+
+impl Corpus {
+    /// Tokenizes plain text, numbering its terms in lexicographic order so
+    /// that sorting a document's ids sorts its terms.
+    pub(crate) fn tokenize<S: AsRef<str>>(corpus: &[S]) -> Corpus {
+        count_tokenized(corpus.len());
+        let lowered: Vec<String> =
+            corpus.iter().map(|text| text.as_ref().to_ascii_lowercase()).collect();
+        // Provisional ids in order of first sight, for every token of every
+        // document back to back.
+        let mut seen: HashMap<&str, u32> = HashMap::new();
+        let mut names: Vec<&str> = Vec::new();
+        let mut ids: Vec<u32> = Vec::new();
+        let mut ends = Vec::with_capacity(lowered.len());
+        for text in &lowered {
+            for token in tokens(text) {
+                let id = *seen.entry(token).or_insert_with(|| {
+                    names.push(token);
+                    (names.len() - 1) as u32
+                });
+                ids.push(id);
+            }
+            ends.push(ids.len());
+        }
+        let mut order: Vec<u32> = (0..names.len() as u32).collect();
+        order.sort_unstable_by_key(|&id| names[id as usize]);
+        let mut rank = vec![0u32; names.len()];
+        let mut vocab = TermIds::with_capacity(names.len());
+        for (lexical, &id) in order.iter().enumerate() {
+            rank[id as usize] = lexical as u32;
+            vocab.insert(Box::from(names[id as usize]), lexical as u32);
+        }
+        let mut start = 0;
+        let docs = ends
+            .into_iter()
+            .map(|end| {
+                let doc = &mut ids[start..end];
+                start = end;
+                for id in doc.iter_mut() {
+                    *id = rank[*id as usize];
+                }
+                doc.sort_unstable();
+                doc.chunk_by(|a, b| a == b).map(|run| (run[0], run.len() as u32)).collect()
+            })
+            .collect();
+        Corpus { vocab: Vocabulary { base: Arc::new(vocab), extension: None }, docs }
+    }
+}
+
 /// A small TF-IDF vector index over a fixed corpus, with cosine-similarity
 /// queries — the "similarity search with a vector database" retriever
 /// option the paper mentions in §3.3.
 ///
-/// Stored inverted: each term maps to its idf and a postings list of
+/// Stored inverted: each term id owns its idf and a postings slice of
 /// `(document, tf·idf)`, and every document's norm is computed at build
 /// time, so scoring a query visits only the postings of its own terms.
 /// Every float sum runs in lexicographic term order — the order that fixes
-/// the last bits of every score — so the map itself needs no order.
+/// the last bits of every score.
 #[derive(Debug, Clone)]
 pub struct TfIdfIndex {
-    terms: HashMap<Box<str>, Term>,
+    vocab: Vocabulary,
+    /// Each term's idf, by id: 1 for a term no document holds, the weight
+    /// of a query term the corpus never saw.
+    idf: Box<[f64]>,
+    /// Term `id`'s postings are `postings[starts[id]..starts[id + 1]]`.
+    starts: Box<[usize]>,
+    /// `(document, tf·idf)`, grouped by term, each group in document order.
+    postings: Box<[(usize, f64)]>,
     /// Per-document L2 norm of its tf·idf vector.
-    norms: Vec<f64>,
-}
-
-/// One indexed term: its idf and the documents it occurs in.
-#[derive(Debug, Clone)]
-struct Term {
-    idf: f64,
-    /// `(document, tf·idf)` in document order.
-    postings: Vec<(usize, f64)>,
+    norms: Box<[f64]>,
 }
 
 impl TfIdfIndex {
     /// Builds an index over `corpus`.
     pub fn new<S: AsRef<str>>(corpus: &[S]) -> Self {
-        let lowered: Vec<String> =
-            corpus.iter().map(|text| text.as_ref().to_ascii_lowercase()).collect();
-        // Terms get ids in order of first sight; each document's ids are
-        // sorted so equal tokens form one run, its term count.
-        let mut ids: HashMap<&str, usize> = HashMap::new();
-        let mut names: Vec<&str> = Vec::new();
-        let mut postings: Vec<Vec<(usize, f64)>> = Vec::new();
-        let mut doc_ids = Vec::new();
-        for (doc, text) in lowered.iter().enumerate() {
-            doc_ids.clear();
-            for token in tokens(text) {
-                let id = *ids.entry(token).or_insert_with(|| {
-                    names.push(token);
-                    postings.push(Vec::new());
-                    names.len() - 1
-                });
-                doc_ids.push(id);
-            }
-            doc_ids.sort_unstable();
-            for run in doc_ids.chunk_by(|a, b| a == b) {
-                postings[run[0]].push((doc, run.len() as f64));
+        Self::assemble(&Corpus::tokenize(corpus))
+    }
+
+    /// Builds an index from term runs alone: counts each term's documents,
+    /// derives `idf = ln(n / (1 + df)) + 1`, and in one pass over the
+    /// documents lays out the postings and sums each norm over the
+    /// document's own runs. Runs are in lexicographic term order and each
+    /// sum starts at `-0.0`, the identity `f64::sum` folds from, so each
+    /// norm is bit-for-bit the `sum().sqrt()` over that document's ordered
+    /// weights. Ids the vocabulary handed to other documents have df 0 and
+    /// no postings.
+    pub(crate) fn assemble(corpus: &Corpus) -> Self {
+        let terms = corpus.vocab.len();
+        let n = corpus.docs.len().max(1) as f64;
+        // `starts[id + 1]` first counts term `id`'s documents; prefix sums
+        // then turn `starts[id]` into its first posting.
+        let mut starts = vec![0usize; terms + 1];
+        for doc in &corpus.docs {
+            for &(id, _) in doc.iter() {
+                starts[id as usize + 1] += 1;
             }
         }
-        let n = corpus.len().max(1) as f64;
-        // Sums start at -0.0, the identity `f64::sum` folds from, and walk
-        // the terms in lexicographic order: each norm is bit-for-bit the
-        // `sum().sqrt()` over that document's ordered weights.
-        let mut order: Vec<usize> = (0..names.len()).collect();
-        order.sort_unstable_by_key(|&id| names[id]);
-        let mut norm_sq = vec![-0.0f64; corpus.len()];
-        let mut terms = HashMap::with_capacity(names.len());
-        for id in order {
-            let mut postings = std::mem::take(&mut postings[id]);
-            let idf = (n / (1.0 + postings.len() as f64)).ln() + 1.0;
-            for (doc, weight) in &mut postings {
-                *weight *= idf;
-                norm_sq[*doc] += *weight * *weight;
-            }
-            terms.insert(Box::from(names[id]), Term { idf, postings });
+        let idf: Box<[f64]> = starts[1..]
+            .iter()
+            .map(|&df| if df == 0 { 1.0 } else { (n / (1.0 + df as f64)).ln() + 1.0 })
+            .collect();
+        for id in 0..terms {
+            starts[id + 1] += starts[id];
         }
-        TfIdfIndex { terms, norms: norm_sq.into_iter().map(f64::sqrt).collect() }
+        let mut next = starts[..terms].to_vec();
+        let mut postings = vec![(0, 0.0); starts[terms]].into_boxed_slice();
+        let norms = corpus
+            .docs
+            .iter()
+            .enumerate()
+            .map(|(doc, runs)| {
+                let mut norm_sq = -0.0f64;
+                for &(id, count) in runs.iter() {
+                    let weight = f64::from(count) * idf[id as usize];
+                    norm_sq += weight * weight;
+                    let slot = &mut next[id as usize];
+                    postings[*slot] = (doc, weight);
+                    *slot += 1;
+                }
+                norm_sq.sqrt()
+            })
+            .collect();
+        TfIdfIndex {
+            vocab: corpus.vocab.clone(),
+            idf,
+            starts: starts.into_boxed_slice(),
+            postings,
+            norms,
+        }
     }
 
     /// Number of indexed documents.
@@ -211,19 +395,31 @@ impl TfIdfIndex {
     /// `q·d / (|q|·|d|)` bit for bit: terms are summed in lexicographic
     /// order and each dot product starts at `-0.0` as `f64::sum` does, so a
     /// document sharing no term with the query scores `-0.0`. An empty
-    /// query or document scores `0.0`. Terms the corpus never saw weigh
-    /// idf 1 in the query norm.
+    /// query or document scores `0.0`. Terms no document holds weigh idf 1
+    /// in the query norm, whether or not the vocabulary numbers them.
     pub fn scores(&self, query: &str) -> Vec<f64> {
         let lowered = query.to_ascii_lowercase();
         let query_terms = sorted_tokens(&lowered);
+        let extension =
+            self.vocab.extension.as_ref().map(|ext| ext.read().expect("vocabulary lock"));
         let mut dots = vec![-0.0f64; self.norms.len()];
         let mut query_sq = -0.0f64;
         for run in query_terms.chunk_by(|a, b| a == b) {
             let count = run.len() as f64;
-            let term = self.terms.get(run[0]);
-            let weight = count * term.map_or(1.0, |t| t.idf);
+            let id = self
+                .vocab
+                .base
+                .get(run[0])
+                .or_else(|| extension.as_ref()?.get(run[0]))
+                .map(|&id| id as usize)
+                .filter(|&id| id < self.idf.len());
+            let (idf, postings) = match id {
+                Some(id) => (self.idf[id], &self.postings[self.starts[id]..self.starts[id + 1]]),
+                None => (1.0, &[][..]),
+            };
+            let weight = count * idf;
             query_sq += weight * weight;
-            for &(doc, doc_weight) in term.map_or(&[][..], |t| &t.postings) {
+            for &(doc, doc_weight) in postings {
                 dots[doc] += weight * doc_weight;
             }
         }

@@ -4,14 +4,23 @@
 //! identity) rather than specific values, so a refactor of the scanning
 //! loops can't quietly bend the metric the fuzzy retrievers rank by. The
 //! TF-IDF index is pinned bit for bit against [`Oracle`], the per-entry
-//! cosine it replaced.
+//! cosine it replaced — over plain corpora, the shipped databases, and
+//! every generation of a growing distilled store, whose indexes are
+//! assembled from cached term runs instead of text.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use rtlfixer_rag::text::{jaccard_distance, jaccard_similarity, tokenize, TfIdfIndex};
-use rtlfixer_rag::{tfidf_corpus, GuidanceDatabase, RetrievalQuery, Retriever, TfIdfRetriever};
+use rtlfixer_rag::text::{
+    documents_tokenized, jaccard_distance, jaccard_similarity, tokenize, TfIdfIndex,
+};
+use rtlfixer_rag::{
+    shared_tfidf_index, tfidf_corpus, DistilledEntry, DistilledStore, GuidanceDatabase,
+    RetrievalQuery, Retriever, TfIdfRetriever,
+};
+use rtlfixer_verilog::diag::ErrorCategory;
 
 /// Log-ish text: words, digit runs, and the punctuation compiler logs
 /// actually contain — parens around error tags included.
@@ -20,6 +29,11 @@ const LOG_TEXT: &str = "([a-z_]{1,8}|[0-9]{1,8}|\\(|\\)|: |'|\\n| ){0,24}";
 /// A corpus of up to eight `|`-separated documents over a small vocabulary,
 /// so documents share terms; any document may be empty.
 const CORPUS_TEXT: &str = "(([a-e]{1,2}|[0-3]|_) ){0,10}(\\|(([a-e]{1,2}|[0-3]|_) ){0,10}){0,7}";
+
+/// One to five `|`-separated compiler logs of [`LOG_TEXT`]'s shape, the
+/// successive merges into a store.
+const STORE_LOGS: &str = "([a-z_]{1,8}|[0-9]{1,8}|\\(|\\)|: |'|\\n| ){0,24}\
+                          (\\|([a-z_]{1,8}|[0-9]{1,8}|\\(|\\)|: |'|\\n| ){0,24}){0,4}";
 
 /// Queries over a wider vocabulary: corpus terms, repeated tokens, terms no
 /// document holds (`f`, `g`, `4`, `5`), upper case, and the empty string.
@@ -173,7 +187,134 @@ fn tfidf_retriever_matches_the_oracle_on_the_shipped_databases() {
     }
 }
 
+/// A word of letters only (digits and quoted names normalise away in
+/// distilled fingerprints), distinct per `i` and absent from both shipped
+/// databases.
+fn novel_word(i: usize) -> String {
+    let letters: String =
+        format!("{i:03}").bytes().map(|digit| char::from(b'q' + (digit - b'0') % 10)).collect();
+    format!("zz{letters}")
+}
+
+/// Generation `g`'s `k`-th distilled log: shared error wording plus two
+/// words that first appear in that generation.
+fn distilled_log(g: usize, k: usize) -> String {
+    format!(
+        "Error (10161): Verilog HDL error at main.sv({g}): object {} is not declared near {}",
+        novel_word(2 * (4 * g + k)),
+        novel_word(2 * (4 * g + k) + 1)
+    )
+}
+
+/// Asserts that `db`'s shared index scores every query bit for bit like
+/// the oracle over the database's text.
+fn assert_scores_match_the_oracle(db: &GuidanceDatabase, queries: &[String]) {
+    let oracle = Oracle::new(&tfidf_corpus(db));
+    let index = shared_tfidf_index(db);
+    assert_eq!(index.len(), db.entries().len());
+    for query in queries {
+        assert_eq!(
+            bits(&index.scores(query)),
+            oracle.score_bits(query),
+            "{:?} with {} entries, query {query:?}",
+            db.edition,
+            db.entries().len()
+        );
+    }
+}
+
+#[test]
+fn store_generations_score_like_the_oracle_and_share_their_entries() {
+    let bases = [GuidanceDatabase::quartus_shared(), GuidanceDatabase::iverilog_shared()];
+    // Tokenize the bases first so the counts below see only the store.
+    for base in &bases {
+        shared_tfidf_index(base);
+    }
+    let store = DistilledStore::new();
+    let generations = 6;
+    let mut held: Vec<Arc<GuidanceDatabase>> = Vec::new();
+    for g in 0..generations {
+        let batch: Vec<DistilledEntry> = (0..=g % 3)
+            .map(|k| {
+                let log = distilled_log(g, k);
+                DistilledEntry::from_episode(&log, ErrorCategory::UndeclaredIdentifier, 1 + k, 2)
+            })
+            .collect();
+        let before = documents_tokenized();
+        assert_eq!(store.merge(&batch), batch.len());
+        assert_eq!(
+            documents_tokenized() - before,
+            batch.len() as u64,
+            "a merge tokenizes each entry it inserts, once"
+        );
+        for base in &bases {
+            let before = documents_tokenized();
+            let merged = store.merged_database(base);
+            shared_tfidf_index(&merged);
+            assert_eq!(documents_tokenized(), before, "a generation re-tokenizes nothing");
+            for (index, entry) in merged.entries().iter().enumerate() {
+                assert_eq!(**merged.brief(index), entry.render_brief());
+            }
+            for (index, entry) in base.entries().iter().enumerate() {
+                assert!(Arc::ptr_eq(entry, &merged.entries()[index]));
+                assert!(Arc::ptr_eq(base.brief(index), merged.brief(index)));
+            }
+            // Entries an older generation of this base held keep their
+            // row and brief.
+            if let Some(older) = held.iter().rev().find(|db| db.edition == base.edition) {
+                for (old, entry) in older.entries().iter().enumerate() {
+                    let new = merged.entries().iter().position(|e| e.id == entry.id).unwrap();
+                    assert!(Arc::ptr_eq(entry, &merged.entries()[new]), "{}", entry.id);
+                    assert!(Arc::ptr_eq(older.brief(old), merged.brief(new)), "{}", entry.id);
+                }
+            }
+            held.push(merged);
+        }
+    }
+    // Every generation, against logs of its own and of later generations:
+    // a later generation's words are in the vocabulary but no document of
+    // an older generation holds them, so they must act as unseen.
+    let mut queries = vec![String::new(), "   ".to_owned(), novel_word(999)];
+    queries.extend((0..generations).map(|g| distilled_log(g, 0)));
+    queries.push(format!("{} {}", novel_word(2 * 4 * (generations - 1)), novel_word(0)));
+    queries.push(bases[0].entries()[0].log_exemplar.clone());
+    queries.push(bases[1].entries()[3].log_exemplar.clone());
+    for db in &held {
+        assert_scores_match_the_oracle(db, &queries);
+    }
+}
+
 proptest! {
+    #[test]
+    fn grown_store_indexes_match_the_oracle(
+        logs in STORE_LOGS,
+        query in LOG_TEXT,
+    ) {
+        let logs: Vec<&str> = logs.split('|').collect();
+        let bases = [GuidanceDatabase::quartus_shared(), GuidanceDatabase::iverilog_shared()];
+        let store = DistilledStore::new();
+        let mut held = Vec::new();
+        for (i, log) in logs.iter().enumerate() {
+            let entry = DistilledEntry::from_episode(log, ErrorCategory::SyntaxError, 1, 1);
+            let base: &Arc<GuidanceDatabase> = &bases[i % 2];
+            shared_tfidf_index(base);
+            let before = documents_tokenized();
+            let inserted = store.merge(&[entry]);
+            let merged = store.merged_database(base);
+            shared_tfidf_index(&merged);
+            prop_assert_eq!(documents_tokenized() - before, inserted as u64);
+            held.push(merged);
+        }
+        let queries = [query.as_str(), logs[0], logs[logs.len() - 1]];
+        for db in &held {
+            let oracle = Oracle::new(&tfidf_corpus(db));
+            let index = shared_tfidf_index(db);
+            for query in &queries {
+                prop_assert_eq!(bits(&index.scores(query)), oracle.score_bits(query));
+            }
+        }
+    }
+
     #[test]
     fn tfidf_scores_are_bit_identical_to_the_oracle(corpus in CORPUS_TEXT, query in QUERY_TEXT) {
         let docs: Vec<&str> = corpus.split('|').collect();

@@ -12,6 +12,7 @@
 use serde::Deserialize;
 
 use rtlfixer_agent::{Action, FixOutcome, Strategy};
+use rtlfixer_cache::Fingerprint128;
 use rtlfixer_compilers::CompilerKind;
 use rtlfixer_eval::RepairJob;
 use rtlfixer_llm::Capability;
@@ -141,37 +142,48 @@ impl JobSpec {
     /// The job's content-addressed fingerprint: a pure function of every
     /// outcome-determining field. Equal fingerprints ⇒ equal responses,
     /// the invariant request coalescing rests on.
+    ///
+    /// Each field is hashed as `{byte length}:{bytes}` — length-prefixed,
+    /// so concatenation is unambiguous — and fed straight into the hash
+    /// from where it lives; numbers are spelled in decimal on the stack.
     pub fn fingerprint(&self) -> u128 {
-        let mut canonical = String::new();
-        let compiler = match self.compiler {
-            CompilerKind::Simple => "simple",
-            CompilerKind::Iverilog => "iverilog",
-            CompilerKind::Quartus => "quartus",
+        let compiler: &[u8] = match self.compiler {
+            CompilerKind::Simple => b"simple",
+            CompilerKind::Iverilog => b"iverilog",
+            CompilerKind::Quartus => b"quartus",
         };
-        let strategy = match self.strategy {
-            Strategy::OneShot => "oneshot".to_owned(),
-            Strategy::React { max_iterations } => format!("react{max_iterations}"),
+        let mut iterations = Decimal::default();
+        let strategy: [&[u8]; 2] = match self.strategy {
+            Strategy::OneShot => [b"oneshot", b""],
+            Strategy::React { max_iterations } => [b"react", iterations.of(max_iterations as u64)],
         };
-        let capability = match self.capability {
-            Capability::Gpt35Class => "gpt35",
-            Capability::Gpt4Class => "gpt4",
+        let capability: &[u8] = match self.capability {
+            Capability::Gpt35Class => b"gpt35",
+            Capability::Gpt4Class => b"gpt4",
         };
-        // Length-prefixed fields: no concatenation ambiguity.
+        let rag: &[u8] = if self.rag { b"rag" } else { b"norag" };
+        let (mut seed, mut deadline) = (Decimal::default(), Decimal::default());
+        let seed = seed.of(self.seed);
+        let deadline = self.deadline_ms.map_or(&b""[..], |d| deadline.of(d));
+        let mut hash = Fingerprint128::new();
         for field in [
-            compiler,
+            &[compiler][..],
             &strategy,
-            capability,
-            if self.rag { "rag" } else { "norag" },
-            &self.seed.to_string(),
-            &self.deadline_ms.map(|d| d.to_string()).unwrap_or_default(),
-            &self.problem,
-            &self.code,
+            &[capability],
+            &[rag],
+            &[seed],
+            &[deadline],
+            &[self.problem.as_bytes()],
+            &[self.code.as_bytes()],
         ] {
-            canonical.push_str(&field.len().to_string());
-            canonical.push(':');
-            canonical.push_str(field);
+            let mut len = Decimal::default();
+            hash.write(len.of(field.iter().map(|part| part.len() as u64).sum()));
+            hash.write(b":");
+            for part in field {
+                hash.write(part);
+            }
         }
-        rtlfixer_cache::fingerprint128(canonical.as_bytes())
+        hash.finish()
     }
 
     /// The fingerprint as the 32-hex-char `fp` wire token.
@@ -191,6 +203,25 @@ impl JobSpec {
             seed: self.seed,
             deadline_ms: self.deadline_ms,
             distilled: None,
+        }
+    }
+}
+
+/// A number's decimal digits, spelled into a buffer on the stack.
+#[derive(Default)]
+struct Decimal([u8; 20]);
+
+impl Decimal {
+    /// The digits of `n` (`u64::MAX` has 20).
+    fn of(&mut self, mut n: u64) -> &[u8] {
+        let mut at = self.0.len();
+        loop {
+            at -= 1;
+            self.0[at] = b'0' + (n % 10) as u8;
+            n /= 10;
+            if n == 0 {
+                return &self.0[at..];
+            }
         }
     }
 }
@@ -354,6 +385,88 @@ mod tests {
         ];
         for variant in variants {
             assert_ne!(variant.fingerprint(), base.fingerprint(), "{variant:?}");
+        }
+    }
+
+    /// The fingerprint as first written: every field formatted into one
+    /// canonical string, then hashed. Kept as the oracle of the streamed
+    /// hash.
+    fn canonical_fingerprint(spec: &JobSpec) -> u128 {
+        let mut canonical = String::new();
+        let compiler = match spec.compiler {
+            CompilerKind::Simple => "simple",
+            CompilerKind::Iverilog => "iverilog",
+            CompilerKind::Quartus => "quartus",
+        };
+        let strategy = match spec.strategy {
+            Strategy::OneShot => "oneshot".to_owned(),
+            Strategy::React { max_iterations } => format!("react{max_iterations}"),
+        };
+        let capability = match spec.capability {
+            Capability::Gpt35Class => "gpt35",
+            Capability::Gpt4Class => "gpt4",
+        };
+        for field in [
+            compiler,
+            &strategy,
+            capability,
+            if spec.rag { "rag" } else { "norag" },
+            &spec.seed.to_string(),
+            &spec.deadline_ms.map(|d| d.to_string()).unwrap_or_default(),
+            &spec.problem,
+            &spec.code,
+        ] {
+            canonical.push_str(&field.len().to_string());
+            canonical.push(':');
+            canonical.push_str(field);
+        }
+        rtlfixer_cache::fingerprint128(canonical.as_bytes())
+    }
+
+    #[test]
+    fn streamed_fingerprint_equals_the_canonical_string_hash() {
+        let base = JobSpec::from_request(&fix_request("module m; endmodule"), None).unwrap();
+        // The seed derived with no explicit one is the canonical hash of
+        // the spec with seed 0.
+        assert_eq!(base.seed, canonical_fingerprint(&JobSpec { seed: 0, ..base.clone() }) as u64);
+        let long_code = "module m(input a, output y);\n  assign y = a; // 10:20\n".repeat(300);
+        let mut specs = vec![base.clone()];
+        for compiler in [CompilerKind::Simple, CompilerKind::Iverilog, CompilerKind::Quartus] {
+            for strategy in [
+                Strategy::OneShot,
+                Strategy::React { max_iterations: 0 },
+                Strategy::React { max_iterations: 9 },
+                Strategy::React { max_iterations: 10 },
+                Strategy::React { max_iterations: usize::MAX },
+            ] {
+                for (rag, capability) in
+                    [(true, Capability::Gpt35Class), (false, Capability::Gpt4Class)]
+                {
+                    specs.push(JobSpec { compiler, strategy, rag, capability, ..base.clone() });
+                }
+            }
+        }
+        for seed in [0, 1, 9, 10, 99, 100, 12_345, u64::MAX] {
+            specs.push(JobSpec { seed, ..base.clone() });
+        }
+        for deadline_ms in [None, Some(0), Some(7), Some(10), Some(250), Some(u64::MAX)] {
+            specs.push(JobSpec { deadline_ms, ..base.clone() });
+        }
+        for (problem, code) in [
+            ("", "m"),
+            ("12:34", "5:6"),
+            ("caf\u{e9} \u{1F600}", "module \u{e9};"),
+            ("a problem", long_code.as_str()),
+        ] {
+            specs.push(JobSpec {
+                problem: problem.to_owned(),
+                code: code.to_owned(),
+                ..base.clone()
+            });
+        }
+        for spec in &specs {
+            assert_eq!(spec.fingerprint(), canonical_fingerprint(spec), "{spec:?}");
+            assert_eq!(spec.fp_hex(), format!("{:032x}", canonical_fingerprint(spec)));
         }
     }
 

@@ -279,6 +279,8 @@ struct Lowering<'d> {
     func_calls: Vec<BTreeSet<u32>>,
     /// `(key, bound-arg-count)` → function ID.
     func_ids: HashMap<(String, usize), u32>,
+    /// [`Lowering::resolve_sig`]'s candidate name, reused across calls.
+    candidate: String,
 }
 
 /// Lowers a design. Infallible: unresolvable constructs lower to the same
@@ -302,6 +304,7 @@ pub(crate) fn lower(design: &Design) -> Kernel {
         func_refs: Vec::new(),
         func_calls: Vec::new(),
         func_ids: HashMap::new(),
+        candidate: String::new(),
     };
 
     let comb: Vec<ProtoProc> = design.comb.iter().map(|p| lw.lower_proc(p)).collect();
@@ -390,22 +393,27 @@ pub(crate) fn lower(design: &Design) -> Kernel {
 impl<'d> Lowering<'d> {
     /// Replicates the old `resolve_signal` scope-chain walk over interned
     /// names: `scope_prefix + name`, stripping one generate-scope segment
-    /// at a time down to `module_prefix`.
-    fn resolve_sig(&self, scope: &Scope, name: &str) -> Option<SigId> {
-        let mut prefix = scope.scope_prefix.clone();
+    /// at a time down to `module_prefix`. Each candidate name is spelled
+    /// into one reused buffer; the prefixes are leading slices of
+    /// `scope_prefix`.
+    fn resolve_sig(&mut self, scope: &Scope, name: &str) -> Option<SigId> {
+        let full = scope.scope_prefix.as_str();
+        let mut prefix = full;
         loop {
-            let candidate = format!("{prefix}{name}");
-            if let Some(&id) = self.by_name.get(&candidate) {
+            self.candidate.clear();
+            self.candidate.push_str(prefix);
+            self.candidate.push_str(name);
+            if let Some(&id) = self.by_name.get(&self.candidate) {
                 return Some(id);
             }
             if prefix == scope.module_prefix {
                 return None;
             }
             let trimmed = &prefix[..prefix.len() - 1]; // drop trailing '.'
-            match trimmed.rfind('.') {
-                Some(pos) => prefix = prefix[..pos + 1].to_owned(),
-                None => prefix = String::new(),
-            }
+            prefix = match trimmed.rfind('.') {
+                Some(pos) => &full[..pos + 1],
+                None => "",
+            };
             if prefix.len() < scope.module_prefix.len() {
                 return None;
             }
@@ -502,7 +510,7 @@ impl<'d> Lowering<'d> {
     /// The old `natural_width` Index quirk: the base identifier is resolved
     /// through signal resolution only (locals are *not* consulted), and the
     /// width is the definition width for memories, else 1.
-    fn index_nat(&self, cx: &BodyCx<'_>, base: &Expr) -> u32 {
+    fn index_nat(&mut self, cx: &BodyCx<'_>, base: &Expr) -> u32 {
         if let Some(name) = base.as_ident() {
             if let Some(id) = self.resolve_sig(cx.scope, name) {
                 let def = &self.sigs[id as usize].def;
@@ -859,5 +867,97 @@ impl<'d> Lowering<'d> {
             return KVarRef::Sig(id);
         }
         KVarRef::None
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::Arc;
+
+    use rtlfixer_verilog::compile;
+
+    use super::*;
+    use crate::elab::elaborate;
+
+    /// The scope walk as first written, one `format!` per candidate: the
+    /// oracle of [`Lowering::resolve_sig`].
+    fn resolve_by_format(
+        by_name: &HashMap<String, SigId>,
+        scope: &Scope,
+        name: &str,
+    ) -> Option<SigId> {
+        let mut prefix = scope.scope_prefix.clone();
+        loop {
+            if let Some(&id) = by_name.get(&format!("{prefix}{name}")) {
+                return Some(id);
+            }
+            if prefix == scope.module_prefix {
+                return None;
+            }
+            let trimmed = &prefix[..prefix.len() - 1];
+            prefix = match trimmed.rfind('.') {
+                Some(pos) => prefix[..pos + 1].to_owned(),
+                None => String::new(),
+            };
+            if prefix.len() < scope.module_prefix.len() {
+                return None;
+            }
+        }
+    }
+
+    fn scope(module_prefix: &str, scope_prefix: &str) -> Scope {
+        Scope {
+            module_prefix: module_prefix.to_owned(),
+            scope_prefix: scope_prefix.to_owned(),
+            params: Arc::default(),
+        }
+    }
+
+    #[test]
+    fn nested_generate_scopes_resolve_innermost_first_and_stop_at_the_instance() {
+        let analysis = compile("module m(input a, output y); assign y = a; endmodule");
+        let design = elaborate(&analysis, "m").expect("elaborates");
+        let names = ["x", "w", "t", "outer[0].x", "outer[0].inner[1].x", "u.x", "u.c[0].t"];
+        let mut lw = Lowering {
+            design: &design,
+            sigs: Vec::new(),
+            by_name: names
+                .iter()
+                .enumerate()
+                .map(|(id, n)| ((*n).to_owned(), id as SigId))
+                .collect(),
+            funcs: Vec::new(),
+            func_refs: Vec::new(),
+            func_calls: Vec::new(),
+            func_ids: HashMap::new(),
+            candidate: String::new(),
+        };
+        let id = |name: &str| names.iter().position(|n| *n == name).map(|id| id as SigId);
+        let cases = [
+            // The innermost generate scope shadows the enclosing ones.
+            (scope("", "outer[0].inner[1]."), "x", id("outer[0].inner[1].x")),
+            (scope("", "outer[0].inner[0]."), "x", id("outer[0].x")),
+            // With no generate-scope declaration, lookup falls back to the
+            // module scope.
+            (scope("", "outer[1].inner[1]."), "x", id("x")),
+            (scope("", "outer[0].inner[1]."), "w", id("w")),
+            (scope("", ""), "x", id("x")),
+            // Inside the child instance `u` the walk ends at `u.`: the top
+            // module's `t` and `w` are out of reach.
+            (scope("u.", "u.c[0]."), "t", id("u.c[0].t")),
+            (scope("u.", "u.c[1]."), "t", None),
+            (scope("u.", "u.c[1]."), "x", id("u.x")),
+            (scope("u.", "u."), "w", None),
+            (scope("", "outer[0]."), "missing", None),
+        ];
+        for (scope, name, expected) in &cases {
+            assert_eq!(
+                lw.resolve_sig(scope, name),
+                *expected,
+                "{name} in {:?}",
+                scope.scope_prefix
+            );
+            assert_eq!(resolve_by_format(&lw.by_name, scope, name), *expected);
+        }
     }
 }
