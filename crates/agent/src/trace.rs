@@ -2,18 +2,20 @@
 //! debugging episode, rendered in the style of the paper's Figure 2c.
 //!
 //! A step stores handles, not text: a fixed thought is a `&'static str`, a
-//! compiler observation is the episode's shared [`CompileOutcome`], and a
-//! RAG observation is the guidance the model was shown, whose briefs the
-//! database rendered once. Text is built only where a reader asks for it —
-//! [`FixTrace`]'s `Display` and the serve daemon's wire events — so batch
-//! experiments, which read only the verdict, never pay for it.
+//! compiler observation is the episode's shared [`CompileOutcome`], a RAG
+//! observation is the guidance the model was shown, whose briefs the
+//! database rendered once, and the model's reasoning is its [`Reasoning`],
+//! which points at the diagnostics it considered. Text is built only where
+//! a reader asks for it — [`FixTrace`]'s `Display` and the serve daemon's
+//! wire events — so batch experiments, which read only the verdict, never
+//! pay for it.
 
 use std::borrow::Cow;
 use std::fmt;
 use std::sync::Arc;
 
 use rtlfixer_compilers::CompileOutcome;
-use rtlfixer_llm::GuidanceSnippet;
+use rtlfixer_llm::{GuidanceSnippet, Reasoning};
 
 /// The text of a trace step's thought, observation or RAG query, held as a
 /// handle to where it already lives. Two texts are equal when they render
@@ -22,8 +24,11 @@ use rtlfixer_llm::GuidanceSnippet;
 pub enum TraceText {
     /// A fixed string (the agent's own thoughts, fixed observations).
     Static(&'static str),
-    /// Text built for this step (the model's reasoning, retry notes).
+    /// Text built for this step (retry notes).
     Owned(String),
+    /// The model's reasoning for a revision, rendered from the diagnostics
+    /// it considered.
+    Reasoning(Reasoning),
     /// The rendered log of a compile outcome, shared with the compile
     /// cache (or the episode's garbled copy of it).
     Log(Arc<CompileOutcome>),
@@ -33,42 +38,74 @@ pub enum TraceText {
 }
 
 impl TraceText {
-    /// The text, borrowed except for guidance, which is joined on demand.
+    /// The text, borrowed except for guidance, which is joined on demand,
+    /// and the model's reasoning, which is rendered on demand.
     pub fn as_str(&self) -> Cow<'_, str> {
         match self {
             TraceText::Static(text) => Cow::Borrowed(text),
             TraceText::Owned(text) => Cow::Borrowed(text),
             TraceText::Log(outcome) => Cow::Borrowed(&outcome.log),
+            TraceText::Reasoning(_) | TraceText::Guidance(_) => Cow::Owned(self.to_string()),
+        }
+    }
+
+    /// Writes the text into `out` in the pieces [`for_each_piece`]
+    /// yields.
+    ///
+    /// [`for_each_piece`]: TraceText::for_each_piece
+    fn write_to<W: fmt::Write + ?Sized>(&self, out: &mut W) -> fmt::Result {
+        match self {
+            TraceText::Static(text) => out.write_str(text),
+            TraceText::Owned(text) => out.write_str(text),
+            TraceText::Log(outcome) => out.write_str(&outcome.log),
+            TraceText::Reasoning(reasoning) => reasoning.write_to(out),
             TraceText::Guidance(snippets) => {
-                let texts: Vec<&str> = snippets.iter().map(|s| &*s.text).collect();
-                Cow::Owned(texts.join("\n"))
+                for (index, snippet) in snippets.iter().enumerate() {
+                    if index > 0 {
+                        out.write_str("\n")?;
+                    }
+                    out.write_str(&snippet.text)?;
+                }
+                Ok(())
             }
         }
     }
 
     /// Calls `piece` with the text in consecutive pieces whose concatenation
     /// is [`TraceText::as_str`]: guidance comes snippet by snippet with the
-    /// newlines between them, so a writer copies it without joining.
-    pub fn for_each_piece(&self, mut piece: impl FnMut(&str)) {
-        match self {
-            TraceText::Guidance(snippets) => {
-                for (index, snippet) in snippets.iter().enumerate() {
-                    if index > 0 {
-                        piece("\n");
-                    }
-                    piece(&snippet.text);
-                }
+    /// newlines between them, and reasoning sentence fragment by fragment
+    /// around each diagnostic's headline, so a writer copies either without
+    /// joining or rendering it first.
+    pub fn for_each_piece(&self, piece: impl FnMut(&str)) {
+        struct Pieces<F>(F);
+        impl<F: FnMut(&str)> fmt::Write for Pieces<F> {
+            fn write_str(&mut self, text: &str) -> fmt::Result {
+                (self.0)(text);
+                Ok(())
             }
-            other => piece(&other.as_str()),
+        }
+        let _ = self.write_to(&mut Pieces(piece));
+    }
+
+    /// The text's length in bytes. Reasoning is formatted to count it; see
+    /// [`TraceText::len_hint`] for sizing a buffer.
+    pub fn len(&self) -> usize {
+        match self {
+            TraceText::Reasoning(reasoning) => reasoning.len(),
+            other => other.len_hint(),
         }
     }
 
-    /// The text's length in bytes.
-    pub fn len(&self) -> usize {
+    /// The text's length in bytes without rendering anything: exact except
+    /// for the model's reasoning, whose headlines are estimated
+    /// ([`Reasoning::len_hint`]) — what a writer reserves before writing
+    /// the text once.
+    pub fn len_hint(&self) -> usize {
         match self {
             TraceText::Static(text) => text.len(),
             TraceText::Owned(text) => text.len(),
             TraceText::Log(outcome) => outcome.log.len(),
+            TraceText::Reasoning(reasoning) => reasoning.len_hint(),
             TraceText::Guidance(snippets) => {
                 let newlines = snippets.len().saturating_sub(1);
                 snippets.iter().map(|s| s.text.len()).sum::<usize>() + newlines
@@ -78,7 +115,10 @@ impl TraceText {
 
     /// Whether the text is empty.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        match self {
+            TraceText::Reasoning(reasoning) => reasoning.is_empty(),
+            other => other.len_hint() == 0,
+        }
     }
 
     /// Whether the text contains `pattern`.
@@ -99,9 +139,15 @@ impl From<String> for TraceText {
     }
 }
 
+impl From<Reasoning> for TraceText {
+    fn from(reasoning: Reasoning) -> Self {
+        TraceText::Reasoning(reasoning)
+    }
+}
+
 impl fmt::Display for TraceText {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.as_str())
+        self.write_to(f)
     }
 }
 
@@ -298,13 +344,47 @@ mod tests {
         assert!(TraceText::Guidance(Vec::new()).is_empty());
         assert!(!TraceText::Guidance(vec![snippet(""), snippet("")]).is_empty());
         assert_eq!(format!("{:?}", TraceText::Static("a\"b")), "\"a\\\"b\"");
-        // Pieces and lengths agree with the joined text for every handle.
+        // The model's reasoning: fixed text, or thoughts about the
+        // diagnostics of an analysis, fixed or persisting.
+        let analysis = rtlfixer_verilog::compile_shared(
+            "module m(input [7:0] a, output reg y);\nwire w\nassign y = a[9] & clk;\nendmodule",
+        );
+        let mut thoughts = Reasoning::default();
+        for (index, _) in analysis.diagnostics.iter().enumerate() {
+            thoughts.push(&analysis, index, index % 2 == 0);
+        }
+        assert!(analysis.diagnostics.len() >= 2);
+        let reasoning = TraceText::Reasoning(thoughts.clone());
+        assert_eq!(reasoning.to_string(), thoughts.to_string());
+        assert!(reasoning.contains("The compiler reports: ") && reasoning.contains(") persists;"));
+        let unchanged = TraceText::Reasoning(Reasoning::fixed("returning it unchanged"));
+        assert_eq!(unchanged, TraceText::Static("returning it unchanged"));
+        assert!(TraceText::Reasoning(Reasoning::default()).is_empty());
+        // For every kind of text: pieces concatenate to the `Display`
+        // rendering, `len` is its length and `is_empty` agrees; the size
+        // hint is exact except for reasoning, which it estimates.
         let empty = TraceText::Guidance(Vec::new());
-        for text in [log, guidance, empty, TraceText::Static("fixed"), "owned".to_owned().into()] {
+        let texts = [
+            log,
+            guidance,
+            empty,
+            TraceText::Static("fixed"),
+            TraceText::Static(""),
+            "owned".to_owned().into(),
+            reasoning,
+            unchanged,
+            TraceText::Reasoning(Reasoning::default()),
+        ];
+        for text in texts {
             let mut joined = String::new();
             text.for_each_piece(|piece| joined.push_str(piece));
+            assert_eq!(joined, text.to_string());
             assert_eq!(joined, text.as_str());
             assert_eq!(text.len(), joined.len());
+            assert_eq!(text.is_empty(), joined.is_empty());
+            if !matches!(text, TraceText::Reasoning(_)) {
+                assert_eq!(text.len_hint(), joined.len(), "{text:?}");
+            }
         }
     }
 }

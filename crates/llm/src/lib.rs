@@ -14,6 +14,9 @@
 //!   error category and capability class (GPT-3.5 vs GPT-4).
 //! * [`SimulatedLlm`] — ties the two together behind the [`LanguageModel`]
 //!   trait the agent talks to.
+//! * [`Reasoning`] — a turn's reasoning, held as handles to the diagnostics
+//!   it considered and rendered only when a transcript or a served event
+//!   reads it.
 //! * [`ResilientModel`] — the production transport layer over any model:
 //!   seeded fault injection, bounded retries with simulated-clock backoff,
 //!   a per-episode circuit breaker and a retry-budget ledger (DESIGN.md
@@ -27,6 +30,7 @@
 
 pub mod competence;
 pub mod model;
+pub mod reasoning;
 pub mod repair;
 pub mod resilient;
 pub mod simulated;
@@ -35,5 +39,6 @@ pub use competence::{AttemptContext, Capability, Competence, GuidanceLevel};
 pub use model::{
     Feedback, GuidanceSnippet, LanguageModel, PromptStyle, RepairRequest, RepairResponse,
 };
+pub use reasoning::Reasoning;
 pub use resilient::{RepairTurn, ResilientModel, RetryLedger, RetryPolicy, TurnEvent};
 pub use simulated::SimulatedLlm;

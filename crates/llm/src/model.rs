@@ -11,6 +11,8 @@ use std::sync::Arc;
 
 use rtlfixer_verilog::diag::ErrorCategory;
 
+use crate::reasoning::Reasoning;
+
 /// Feedback shown to the model for one repair turn. Mirrors what the
 /// prompt template of Figure 2a carries. Borrowed from the compile outcome
 /// the turn answers, so no turn copies the log.
@@ -82,9 +84,9 @@ pub struct RepairRequest<'a> {
 pub struct RepairResponse {
     /// The revised source code.
     pub code: String,
-    /// The model's (simulated) reasoning trace for this turn — rendered in
-    /// ReAct transcripts.
-    pub thought: String,
+    /// The model's (simulated) reasoning for this turn, rendered only
+    /// where it is read: ReAct transcripts and served trace events.
+    pub thought: Reasoning,
 }
 
 /// A language model that can revise Verilog code.

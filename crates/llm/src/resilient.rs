@@ -23,6 +23,7 @@ use std::sync::Arc;
 use rtlfixer_faults::{self as faults, FaultKind, FaultPlan, FaultSpec};
 
 use crate::model::{LanguageModel, RepairRequest, RepairResponse};
+use crate::reasoning::Reasoning;
 
 /// One observable resilience event within a repair turn, in order of
 /// occurrence. The agent replays these into its ReAct trace so degraded
@@ -324,9 +325,10 @@ impl<L: LanguageModel> LanguageModel for ResilientModel<L> {
         // turn returns the code unchanged.
         self.turn(request).response.unwrap_or_else(|| RepairResponse {
             code: request.code.clone(),
-            thought: "The model API was unavailable after exhausting retries; the code is \
-                      unchanged this turn."
-                .to_owned(),
+            thought: Reasoning::fixed(
+                "The model API was unavailable after exhausting retries; the code is \
+                 unchanged this turn.",
+            ),
         })
     }
 
@@ -372,7 +374,7 @@ mod tests {
         assert!(!turn.is_degraded());
         let b = turn.response.expect("delivered");
         assert_eq!(a.code, b.code);
-        assert_eq!(a.thought, b.thought);
+        assert_eq!(a.thought.to_string(), b.thought.to_string());
         assert_eq!(wrapped.ledger().retries, 0);
     }
 
@@ -542,7 +544,7 @@ mod tests {
         let req = request();
         let response = model.propose_repair(&req);
         assert_eq!(response.code, req.code, "exhausted turn keeps the code");
-        assert!(response.thought.contains("unavailable"));
+        assert!(response.thought.to_string().contains("unavailable"));
     }
 
     #[test]

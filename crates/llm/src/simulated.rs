@@ -3,8 +3,6 @@
 //! competence model), and applies the corresponding real repair operator on
 //! success.
 
-use std::collections::HashMap;
-
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -12,6 +10,7 @@ use rtlfixer_verilog::diag::{Diagnostic, ErrorCategory};
 
 use crate::competence::{AttemptContext, Capability, Competence, GuidanceLevel};
 use crate::model::{Feedback, GuidanceSnippet, LanguageModel, RepairRequest, RepairResponse};
+use crate::reasoning::Reasoning;
 use crate::repair;
 
 /// Maximum errors fixed within one revision response (an LLM rewrites the
@@ -32,9 +31,23 @@ const MAX_EDITS_PER_TURN: usize = 6;
 pub struct SimulatedLlm {
     competence: Competence,
     rng: StdRng,
-    /// Latent per-episode understanding, keyed by error identity.
-    episode: HashMap<String, bool>,
-    name: String,
+    /// Latent per-episode understanding, one entry per error instance in
+    /// order of first sight. An episode meets a handful of errors, so a
+    /// scan compares each diagnostic in place and nothing is built to look
+    /// one up.
+    episode: Vec<Latent>,
+    name: &'static str,
+}
+
+/// The model's understanding of one error instance, drawn the first time
+/// the episode meets it. The instance is its category and payload
+/// ([`Diagnostic::same_error`]), so retries within an episode reuse the
+/// draw (a model that misunderstood an error does not suddenly understand
+/// it on attempt 5).
+#[derive(Debug, Clone)]
+struct Latent {
+    error: Diagnostic,
+    understood: bool,
 }
 
 impl SimulatedLlm {
@@ -44,10 +57,10 @@ impl SimulatedLlm {
         SimulatedLlm {
             competence: Competence::new(capability),
             rng: StdRng::seed_from_u64(seed),
-            episode: HashMap::new(),
+            episode: Vec::new(),
             name: match capability {
-                Capability::Gpt35Class => "sim-gpt-3.5-class".to_owned(),
-                Capability::Gpt4Class => "sim-gpt-4-class".to_owned(),
+                Capability::Gpt35Class => "sim-gpt-3.5-class",
+                Capability::Gpt4Class => "sim-gpt-4-class",
             },
         }
     }
@@ -57,11 +70,16 @@ impl SimulatedLlm {
         self.competence.capability
     }
 
-    /// Stable identity for an error instance, so retries within an episode
-    /// reuse the latent understanding (a model that misunderstood an error
-    /// does not suddenly understand it on attempt 5).
-    fn error_key(diag: &Diagnostic) -> String {
-        format!("{}:{:?}", diag.category.slug(), diag.data)
+    /// Whether the model understands `diag`: the episode's earlier draw for
+    /// the same error instance, or a fresh draw, remembered.
+    fn understands(&mut self, diag: &Diagnostic, ctx: &AttemptContext) -> bool {
+        if let Some(latent) = self.episode.iter().find(|latent| latent.error.same_error(diag)) {
+            return latent.understood;
+        }
+        let u = self.competence.understand_probability(ctx);
+        let understood = self.rng.gen_bool(u);
+        self.episode.push(Latent { error: diag.clone(), understood });
+        understood
     }
 
     fn guidance_level(guidance: &[GuidanceSnippet], category: ErrorCategory) -> GuidanceLevel {
@@ -125,26 +143,11 @@ impl SimulatedLlm {
             style: crate::model::PromptStyle::React,
         }
     }
-
-    fn thought_for(diag: &Diagnostic, fixed: bool) -> String {
-        if fixed {
-            format!(
-                "The compiler reports: {}. I will revise the code accordingly and re-run \
-                 the compilation.",
-                diag.headline()
-            )
-        } else {
-            format!(
-                "The error ({}) persists; my revision did not address the root cause.",
-                diag.headline()
-            )
-        }
-    }
 }
 
 impl LanguageModel for SimulatedLlm {
     fn name(&self) -> &str {
-        &self.name
+        self.name
     }
 
     fn begin_episode(&mut self) {
@@ -152,10 +155,13 @@ impl LanguageModel for SimulatedLlm {
     }
 
     fn propose_repair(&mut self, request: &RepairRequest<'_>) -> RepairResponse {
-        let mut code = request.code.clone();
-        let mut thoughts: Vec<String> = Vec::new();
+        // The latest revision; the candidate itself is copied only when no
+        // edit lands.
+        let mut revised: Option<String> = None;
+        let mut reasoning = Reasoning::default();
 
         for _ in 0..MAX_EDITS_PER_TURN {
+            let code = revised.as_deref().unwrap_or(&request.code);
             // The model re-reads its current draft (its "comprehension" is
             // modelled by the real frontend). Every read goes through the
             // process-wide analysis cache (DESIGN.md §3c): the first is the
@@ -163,50 +169,48 @@ impl LanguageModel for SimulatedLlm {
             // are deterministic, so intermediate drafts recur across
             // repeats and grid cells. `compile` is pure, so a shared
             // analysis is indistinguishable from a fresh one.
-            let analysis = rtlfixer_verilog::compile_shared(&code);
+            let analysis = rtlfixer_verilog::compile_shared(code);
             if analysis.is_ok() {
                 break;
             }
-            let mut edited = false;
-            for diag in analysis.diagnostics.iter().filter(|d| d.is_error()) {
+            let mut edit = None;
+            for (index, diag) in analysis.diagnostics.iter().enumerate() {
+                if !diag.is_error() {
+                    continue;
+                }
                 let guidance = Self::guidance_level(request.guidance, diag.category);
                 let ctx = self.attempt_context(diag, &request.feedback, guidance);
-                let key = Self::error_key(diag);
-                let understands = match self.episode.get(&key) {
-                    Some(&known) => known,
-                    None => {
-                        let u = self.competence.understand_probability(&ctx);
-                        let drawn = self.rng.gen_bool(u);
-                        self.episode.insert(key.clone(), drawn);
-                        drawn
-                    }
-                };
-                if !understands {
-                    thoughts.push(Self::thought_for(diag, false));
+                // Each thought is a handle to the diagnostic in this
+                // analysis, rendered only if a reader asks.
+                if !self.understands(diag, &ctx) {
+                    reasoning.push(&analysis, index, false);
                     continue;
                 }
                 let r = self.competence.attempt_probability(&ctx);
                 if !self.rng.gen_bool(r) {
-                    thoughts.push(Self::thought_for(diag, false));
+                    reasoning.push(&analysis, index, false);
                     continue;
                 }
-                if let Some(revised) = repair::repair(&code, diag, &analysis) {
-                    thoughts.push(Self::thought_for(diag, true));
-                    code = revised;
-                    edited = true;
+                if let Some(next) = repair::repair(code, diag, &analysis) {
+                    reasoning.push(&analysis, index, true);
+                    edit = Some(next);
                     break; // spans shifted; re-read before the next edit
                 }
-                thoughts.push(Self::thought_for(diag, false));
+                reasoning.push(&analysis, index, false);
             }
-            if !edited {
-                break;
+            match edit {
+                Some(next) => revised = Some(next),
+                None => break,
             }
         }
 
-        if thoughts.is_empty() {
-            thoughts.push("The code compiles cleanly; returning it unchanged.".to_owned());
+        if reasoning.is_empty() {
+            reasoning = Reasoning::fixed("The code compiles cleanly; returning it unchanged.");
         }
-        RepairResponse { code, thought: thoughts.join("\n") }
+        RepairResponse {
+            code: revised.unwrap_or_else(|| request.code.clone()),
+            thought: reasoning,
+        }
     }
 }
 
@@ -273,7 +277,7 @@ mod tests {
                 continue;
             }
             // Same latent key: the episode map must contain a false entry.
-            let stuck = llm.episode.values().any(|&v| !v);
+            let stuck = llm.episode.iter().any(|latent| !latent.understood);
             if stuck {
                 // 10 more attempts; if the model never understood, the code
                 // must still fail (attempt accuracy never applies).
@@ -291,6 +295,51 @@ mod tests {
             }
         }
         panic!("no seed produced a not-understood latent — u too high for Simple feedback?");
+    }
+
+    /// The memo key as first written: the category's slug and the
+    /// debug-printed payload in one string. Kept as the oracle of the typed
+    /// memo.
+    fn error_key(diag: &Diagnostic) -> String {
+        format!("{}:{:?}", diag.category.slug(), diag.data)
+    }
+
+    #[test]
+    fn memo_keeps_one_draw_per_error_key() {
+        // Drafts whose errors recur at shifted spans, and errors that
+        // differ only in their payload.
+        let sources = [
+            BROKEN,
+            "module m(input [7:0] in, output reg [7:0] out);\n\n  \
+             always @(posedge clk) out <= in;\nendmodule",
+            "module m(output y); assign y = clk & rst; endmodule",
+            "module m(output y);\nwire t\nassign y = t & clk;\nendmodule",
+            "module m(input [3:0] a, output y); assign y = a[4] | a[5] | clk; endmodule",
+            "module m(input [3:0] a, output y);\n  assign y = a[4];\nendmodule",
+        ];
+        let mut llm = SimulatedLlm::new(Capability::Gpt35Class, 1);
+        llm.begin_episode();
+        let feedback = Feedback { log: "", identified: &[], informativeness: 0.5 };
+        let mut keys: Vec<(String, bool)> = Vec::new();
+        for _ in 0..2 {
+            for source in sources {
+                let analysis = rtlfixer_verilog::compile(source);
+                for diag in analysis.diagnostics.iter().filter(|d| d.is_error()) {
+                    let ctx = llm.attempt_context(diag, &feedback, GuidanceLevel::None);
+                    let understood = llm.understands(diag, &ctx);
+                    let key = error_key(diag);
+                    match keys.iter().find(|(known, _)| *known == key) {
+                        Some(&(_, drawn)) => assert_eq!(understood, drawn, "{key}"),
+                        None => keys.push((key, understood)),
+                    }
+                    let memo: Vec<String> =
+                        llm.episode.iter().map(|latent| error_key(&latent.error)).collect();
+                    let oracle: Vec<&String> = keys.iter().map(|(key, _)| key).collect();
+                    assert_eq!(memo.iter().collect::<Vec<_>>(), oracle);
+                }
+            }
+        }
+        assert!(keys.len() >= 5, "{keys:?}");
     }
 
     #[test]
@@ -311,7 +360,7 @@ mod tests {
         let clean = "module m(input a, output y); assign y = a; endmodule";
         let resp = llm.propose_repair(&request(clean, &[], 0.85));
         assert_eq!(resp.code, clean);
-        assert!(resp.thought.contains("compiles cleanly"));
+        assert!(resp.thought.to_string().contains("compiles cleanly"));
     }
 
     #[test]

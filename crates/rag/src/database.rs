@@ -212,10 +212,10 @@ impl<'de> Deserialize<'de> for ErrorCategorySlug {
 /// what the database derives from them — the TF-IDF index built on its
 /// first lexical retrieval (see [`crate::retriever::shared_tfidf_index`]),
 /// each entry's exemplar token set, and each entry's rendered repair brief
-/// ([`GuidanceDatabase::brief`]) — is computed once per database and can
-/// never go stale. Entries are shared: a database extended by the
-/// distilled store holds the base's entries, briefs and TF-IDF documents
-/// by handle, so only its index is its own.
+/// ([`GuidanceDatabase::brief`]) — is computed at most once per database
+/// and can never go stale. Entries are shared: a database extended by the
+/// distilled store holds the base's entries, briefs, exemplar token sets
+/// and TF-IDF documents by handle, so only its index is its own.
 #[derive(Clone)]
 pub struct GuidanceDatabase {
     /// Which compiler this database was curated against.
@@ -227,12 +227,17 @@ pub struct GuidanceDatabase {
     /// tokenized from [`tfidf_corpus`] on first use, or handed over by the
     /// distilled store.
     corpus: OnceLock<Corpus>,
-    /// Token set of each entry's log exemplar, filled on the first Jaccard
-    /// retrieval.
-    exemplar_tokens: OnceLock<Box<[TokenSet]>>,
+    /// Each entry's exemplar token-set cell: made on first use, or handed
+    /// over by the distilled store.
+    exemplar_tokens: OnceLock<Box<[ExemplarTokens]>>,
     /// Each entry's [`GuidanceEntry::render_brief`], filled on first use.
     briefs: OnceLock<Box<[Arc<str>]>>,
 }
+
+/// The token set of one entry's log exemplar (the Jaccard retriever's
+/// side of each comparison), tokenized the first time a retrieval compares
+/// against the entry and shared by every database that holds the entry.
+pub(crate) type ExemplarTokens = Arc<OnceLock<TokenSet>>;
 
 /// The serialised form: edition and entries, without the derived index.
 #[derive(Serialize, Deserialize)]
@@ -294,21 +299,24 @@ impl GuidanceDatabase {
         }
     }
 
-    /// A database whose briefs and TF-IDF documents are already derived,
-    /// one per entry in order (the distilled store's merged databases).
+    /// A database whose briefs, exemplar token-set cells and TF-IDF
+    /// documents are already derived, one per entry in order (the
+    /// distilled store's merged databases).
     pub(crate) fn derived(
         edition: DatabaseEdition,
         entries: Vec<Arc<GuidanceEntry>>,
         briefs: Box<[Arc<str>]>,
+        exemplar_tokens: Box<[ExemplarTokens]>,
         corpus: Corpus,
     ) -> Self {
         debug_assert!(briefs.len() == entries.len() && corpus.docs.len() == entries.len());
+        debug_assert!(exemplar_tokens.len() == entries.len());
         GuidanceDatabase {
             edition,
             entries,
             tfidf: OnceLock::new(),
             corpus: OnceLock::from(corpus),
-            exemplar_tokens: OnceLock::new(),
+            exemplar_tokens: OnceLock::from(exemplar_tokens),
             briefs: OnceLock::from(briefs),
         }
     }
@@ -342,12 +350,22 @@ impl GuidanceDatabase {
         &self.briefs()[index]
     }
 
-    /// The token set of every entry's log exemplar, in database order,
-    /// built on first use (the Jaccard retriever's side of each
-    /// comparison).
-    pub(crate) fn exemplar_tokens(&self) -> &[TokenSet] {
-        self.exemplar_tokens
-            .get_or_init(|| self.entries.iter().map(|e| TokenSet::new(&e.log_exemplar)).collect())
+    /// Every entry's exemplar token-set cell, in database order: made
+    /// empty on first use, or handed over by the distilled store, so a
+    /// grown store's generations share the cells of the entries they hold.
+    pub(crate) fn exemplar_cells(&self) -> &[ExemplarTokens] {
+        self.exemplar_tokens.get_or_init(|| self.entries.iter().map(|_| Arc::default()).collect())
+    }
+
+    /// The token set of the log exemplar of the entry at `index`,
+    /// tokenized the first time any database holding the entry asks.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `index` is out of range.
+    pub(crate) fn exemplar_tokens(&self, index: usize) -> &TokenSet {
+        self.exemplar_cells()[index]
+            .get_or_init(|| TokenSet::new(&self.entries[index].log_exemplar))
     }
 
     /// A content fingerprint (FNV-1a over edition and entry texts): two
@@ -841,9 +859,9 @@ mod tests {
             assert_eq!(**db.brief(index), entry.render_brief());
         }
         assert!(Arc::ptr_eq(db.brief(0), db.brief(0)), "one rendering per database");
-        let tokens = db.exemplar_tokens();
-        assert_eq!(tokens.len(), db.entries().len());
-        assert_eq!(tokens[0], TokenSet::new(&db.entries()[0].log_exemplar));
+        assert_eq!(db.exemplar_cells().len(), db.entries().len());
+        assert_eq!(*db.exemplar_tokens(0), TokenSet::new(&db.entries()[0].log_exemplar));
+        assert!(std::ptr::eq(db.exemplar_tokens(0), db.exemplar_tokens(0)));
     }
 
     #[test]

@@ -30,7 +30,10 @@
 //! brief and its TF-IDF terms — once; each base database derives the same
 //! for its own entries once. A merged database holds all of these by
 //! handle, and its index is assembled from the entries' term runs, which
-//! each base's vocabulary extension numbers once per distilled entry.
+//! each base's vocabulary extension numbers once per distilled entry. An
+//! entry's exemplar token set, which only the Jaccard retriever reads, is
+//! tokenized on that retriever's first comparison against the entry, into
+//! a cell every generation holding the entry shares.
 
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
@@ -39,7 +42,9 @@ use std::sync::{Arc, Mutex};
 use rtlfixer_cache::Fingerprint128;
 use rtlfixer_verilog::diag::ErrorCategory;
 
-use crate::database::{category_brief, ErrorCategorySlug, GuidanceDatabase, GuidanceEntry};
+use crate::database::{
+    category_brief, ErrorCategorySlug, ExemplarTokens, GuidanceDatabase, GuidanceEntry,
+};
 use crate::retriever::rag_switch_on;
 use crate::text::{Corpus, TermCounts, TermRuns, Vocabulary};
 
@@ -180,6 +185,9 @@ struct Distilled {
     row: Arc<GuidanceEntry>,
     /// The row's [`GuidanceEntry::render_brief`].
     brief: Arc<str>,
+    /// The cell of the row's exemplar token set, filled by the first
+    /// Jaccard retrieval of any generation that holds the row.
+    tokens: ExemplarTokens,
     /// The row's TF-IDF document, before a base's vocabulary numbers it.
     terms: TermCounts,
     /// Insertion position in the store: the entry's slot in each
@@ -193,7 +201,8 @@ impl Distilled {
         let brief = Arc::from(row.render_brief());
         // The document `tfidf_corpus` makes of the row.
         let terms = TermCounts::new(&format!("{} {}", row.log_exemplar, row.guidance));
-        Distilled { entry: entry.clone(), row: Arc::new(row), brief, terms, seq }
+        let tokens = ExemplarTokens::default();
+        Distilled { entry: entry.clone(), row: Arc::new(row), brief, tokens, terms, seq }
     }
 }
 
@@ -277,9 +286,11 @@ impl Extension {
         let len = base.entries().len() + snapshot.len();
         let mut entries = Vec::with_capacity(len);
         let mut briefs = Vec::with_capacity(len);
+        let mut tokens = Vec::with_capacity(len);
         let mut docs = Vec::with_capacity(len);
         entries.extend(base.entries().iter().cloned());
         briefs.extend(base.briefs().iter().cloned());
+        tokens.extend(base.exemplar_cells().iter().cloned());
         docs.extend(base_corpus.docs.iter().cloned());
         if self.docs.len() < snapshot.len() {
             self.docs.resize(snapshot.len(), None);
@@ -287,12 +298,13 @@ impl Extension {
         for distilled in snapshot.entries.values() {
             entries.push(Arc::clone(&distilled.row));
             briefs.push(Arc::clone(&distilled.brief));
+            tokens.push(Arc::clone(&distilled.tokens));
             let doc =
                 self.docs[distilled.seq].get_or_insert_with(|| self.vocab.number(&distilled.terms));
             docs.push(Arc::clone(doc));
         }
         let corpus = Corpus { vocab: self.vocab.clone(), docs };
-        GuidanceDatabase::derived(base.edition, entries, briefs.into(), corpus)
+        GuidanceDatabase::derived(base.edition, entries, briefs.into(), tokens.into(), corpus)
     }
 }
 
@@ -404,8 +416,10 @@ impl DistilledStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::retriever::{shared_tfidf_index, tfidf_corpus};
-    use crate::text::TfIdfIndex;
+    use crate::retriever::{
+        shared_tfidf_index, tfidf_corpus, JaccardRetriever, RetrievalQuery, Retriever,
+    };
+    use crate::text::{token_sets_built, TfIdfIndex, TokenSet};
 
     fn entry(tag: u8) -> DistilledEntry {
         DistilledEntry::from_episode(
@@ -592,6 +606,47 @@ mod tests {
         for query in ["", "frobnitz", "gnusto frobnitz xyzzy", "xyzzy error", "error syntax near"] {
             let bits = |scores: Vec<f64>| scores.into_iter().map(f64::to_bits).collect::<Vec<_>>();
             assert_eq!(bits(index.scores(query)), bits(from_text.scores(query)), "{query:?}");
+        }
+    }
+
+    #[test]
+    fn exemplars_are_tokenized_once_per_entry() {
+        // A base of this test's own, so its token sets are built on this
+        // thread, where the count is read.
+        let base = Arc::new(GuidanceDatabase::iverilog());
+        let store = DistilledStore::new();
+        let jaccard = JaccardRetriever { threshold: 0.0, top_k: usize::MAX };
+        let query = RetrievalQuery::from_log("syntax error bbbb");
+        let mut older: Option<Arc<GuidanceDatabase>> = None;
+        for (from, count) in [(0, 1), (10, 3), (20, 2)] {
+            let before = token_sets_built();
+            assert_eq!(store.merge(&shapes(from, count)), count);
+            let merged = store.merged_database(&base);
+            assert_eq!(token_sets_built(), before, "merges and generations tokenize nothing");
+            // The first Jaccard retrieval of a generation tokenizes the
+            // exemplars no earlier generation compared against (the
+            // base's too, the first time), and its query.
+            let fresh = if older.is_none() { base.entries().len() + count } else { count };
+            let hits = jaccard.retrieve(&merged, &query);
+            assert_eq!(hits.len(), merged.entries().len());
+            assert_eq!(token_sets_built() - before, fresh as u64 + 1, "each exemplar once");
+            let before = token_sets_built();
+            jaccard.retrieve(&merged, &query);
+            assert_eq!(token_sets_built() - before, 1, "a repeat tokenizes its query only");
+            // Entries an older generation held keep their token set.
+            if let Some(older) = &older {
+                for (old, entry) in older.entries().iter().enumerate() {
+                    let new = merged.entries().iter().position(|e| Arc::ptr_eq(e, entry)).unwrap();
+                    let (was, is) = (&older.exemplar_cells()[old], &merged.exemplar_cells()[new]);
+                    assert!(Arc::ptr_eq(was, is), "{}", entry.id);
+                    assert!(std::ptr::eq(older.exemplar_tokens(old), merged.exemplar_tokens(new)));
+                }
+            }
+            for (index, entry) in merged.entries().iter().enumerate() {
+                let tokens = merged.exemplar_tokens(index);
+                assert_eq!(*tokens, TokenSet::new(&entry.log_exemplar), "{}", entry.id);
+            }
+            older = Some(merged);
         }
     }
 

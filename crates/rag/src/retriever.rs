@@ -22,6 +22,7 @@
 //! new database with its own index.
 
 use std::borrow::Cow;
+use std::cell::RefCell;
 
 use rtlfixer_verilog::diag::ErrorCategory;
 
@@ -65,9 +66,16 @@ impl<'a> RetrievalQuery<'a> {
     /// shorter, and anything longer is a timestamp or address that must
     /// not alias to a tag.
     pub fn tags(&self) -> Vec<u32> {
+        let mut tags = Vec::new();
+        self.tags_into(&mut tags);
+        tags
+    }
+
+    /// Writes [`tags`](Self::tags) into `tags`, replacing its contents.
+    fn tags_into(&self, tags: &mut Vec<u32>) {
         const MIN_TAG_DIGITS: usize = 4;
         const MAX_TAG_DIGITS: usize = 6;
-        let mut tags = Vec::new();
+        tags.clear();
         let bytes = self.log.as_bytes();
         let mut i = 0;
         while i < bytes.len() {
@@ -100,7 +108,6 @@ impl<'a> RetrievalQuery<'a> {
             // open a tag (`"((10161):"`); the old `i = j; i += 1` skipped it.
             i = j.max(i + 1);
         }
-        tags
     }
 }
 
@@ -219,7 +226,9 @@ impl Retriever for ExactTagRetriever {
 
 /// Fuzzy retriever: Jaccard similarity between the query log and each
 /// entry's stored log exemplar. The log is tokenised once per call, and
-/// each exemplar's token set once per database.
+/// each exemplar once per entry, on the first comparison against it: a
+/// distilled store's generations share the token sets of the entries they
+/// hold.
 #[derive(Debug, Clone, Copy)]
 pub struct JaccardRetriever {
     /// Minimum similarity to count as a match.
@@ -255,12 +264,11 @@ impl Retriever for JaccardRetriever {
         let mut scored: Vec<Retrieved<'a>> = db
             .entries()
             .iter()
-            .zip(db.exemplar_tokens())
             .enumerate()
-            .map(|(index, (entry, tokens))| Retrieved {
+            .map(|(index, entry)| Retrieved {
                 entry,
                 index,
-                score: query.jaccard(tokens),
+                score: query.jaccard(db.exemplar_tokens(index)),
                 exact: false,
                 evidence: Evidence::Lexical,
             })
@@ -388,6 +396,37 @@ impl HybridRetriever {
     }
 }
 
+/// One entry with positive blended score, by position: what the hybrid
+/// retriever ranks before it builds any hit.
+#[derive(Debug, Clone, Copy)]
+struct Candidate {
+    db_index: usize,
+    score: f64,
+    /// Position of the entry's tag among the log's tags; `usize::MAX`
+    /// when it has none there.
+    tag_rank: usize,
+    evidence: Evidence,
+}
+
+impl Candidate {
+    fn exact(&self) -> bool {
+        self.evidence == Evidence::Exact
+    }
+}
+
+/// Per-thread working memory of hybrid retrievals: the log's tags and the
+/// scored candidates. Every retrieval on a thread reuses it, so only the
+/// returned hits allocate once the buffers fit the database.
+#[derive(Default)]
+struct HybridScratch {
+    tags: Vec<u32>,
+    candidates: Vec<Candidate>,
+}
+
+thread_local! {
+    static HYBRID_SCRATCH: RefCell<HybridScratch> = RefCell::default();
+}
+
 impl Retriever for HybridRetriever {
     fn name(&self) -> &str {
         "hybrid"
@@ -398,56 +437,73 @@ impl Retriever for HybridRetriever {
         db: &'a GuidanceDatabase,
         query: &RetrievalQuery<'_>,
     ) -> Vec<Retrieved<'a>> {
-        let tags = query.tags();
+        HYBRID_SCRATCH.with(|cell| self.rank(db, query, &mut cell.borrow_mut()))
+    }
+}
+
+impl HybridRetriever {
+    fn rank<'a>(
+        &self,
+        db: &'a GuidanceDatabase,
+        query: &RetrievalQuery<'_>,
+        scratch: &mut HybridScratch,
+    ) -> Vec<Retrieved<'a>> {
+        let HybridScratch { tags, candidates } = scratch;
+        query.tags_into(tags);
+        candidates.clear();
         // Every entry's cosine from one pass over the log's own terms.
-        let cosine = shared_tfidf_index(db).scores(&query.log);
-        struct Candidate<'a> {
-            hit: Retrieved<'a>,
-            tag_rank: usize,
-            db_index: usize,
-        }
-        let mut candidates: Vec<Candidate<'a>> = Vec::new();
-        for (db_index, entry) in db.entries().iter().enumerate() {
-            let tag_rank = entry
-                .error_tag
-                .and_then(|tag| tags.iter().position(|&t| t == tag));
-            let exact = tag_rank.is_some();
-            let category = query.identified.contains(&entry.category.0);
-            let lexical =
-                if cosine[db_index] >= self.lexical_threshold { cosine[db_index] } else { 0.0 };
-            let score = self.exact_weight * f64::from(u8::from(exact))
-                + self.category_weight * f64::from(u8::from(category))
-                + self.lexical_weight * lexical;
-            if score <= 0.0 {
-                continue;
+        shared_tfidf_index(db).with_scores(&query.log, |cosine| {
+            for (db_index, entry) in db.entries().iter().enumerate() {
+                let tag_rank = entry.error_tag.and_then(|tag| tags.iter().position(|&t| t == tag));
+                let exact = tag_rank.is_some();
+                let category = query.identified.contains(&entry.category.0);
+                let lexical =
+                    if cosine[db_index] >= self.lexical_threshold { cosine[db_index] } else { 0.0 };
+                let score = self.exact_weight * f64::from(u8::from(exact))
+                    + self.category_weight * f64::from(u8::from(category))
+                    + self.lexical_weight * lexical;
+                if score <= 0.0 {
+                    continue;
+                }
+                let evidence = if exact {
+                    Evidence::Exact
+                } else if category {
+                    Evidence::Category
+                } else {
+                    Evidence::Lexical
+                };
+                candidates.push(Candidate {
+                    db_index,
+                    score,
+                    tag_rank: tag_rank.unwrap_or(usize::MAX),
+                    evidence,
+                });
             }
-            let evidence = if exact {
-                Evidence::Exact
-            } else if category {
-                Evidence::Category
-            } else {
-                Evidence::Lexical
-            };
-            candidates.push(Candidate {
-                hit: Retrieved { entry, index: db_index, score, exact, evidence },
-                tag_rank: tag_rank.unwrap_or(usize::MAX),
-                db_index,
-            });
-        }
+        });
         // Exact hits first in first-reported-tag order (the root-cause
         // contract of `ExactTagRetriever`); non-exact hits by blended score,
-        // with the database index as the deterministic tiebreak.
-        candidates.sort_by(|a, b| {
-            b.hit
-                .exact
-                .cmp(&a.hit.exact)
+        // with the database index as the deterministic tiebreak. Indices
+        // are distinct, so the order is total and an unstable sort ranks
+        // as a stable one would.
+        candidates.sort_unstable_by(|a, b| {
+            b.exact()
+                .cmp(&a.exact())
                 .then(a.tag_rank.cmp(&b.tag_rank))
-                .then(b.hit.score.partial_cmp(&a.hit.score).unwrap_or(std::cmp::Ordering::Equal))
+                .then(b.score.partial_cmp(&a.score).unwrap_or(std::cmp::Ordering::Equal))
                 .then(a.db_index.cmp(&b.db_index))
         });
-        let exact_count = candidates.iter().filter(|c| c.hit.exact).count();
-        candidates.truncate(exact_count + self.top_k_fuzzy);
-        candidates.into_iter().map(|c| c.hit).collect()
+        let exact_count = candidates.iter().take_while(|c| c.exact()).count();
+        candidates
+            .iter()
+            .take(exact_count + self.top_k_fuzzy)
+            .map(|c| Retrieved {
+                entry: &db.entries()[c.db_index],
+                index: c.db_index,
+                score: c.score,
+                exact: c.exact(),
+                evidence: c.evidence,
+            })
+            .collect()
     }
 }
 

@@ -1,7 +1,7 @@
 //! Text utilities shared by the retrievers and (via this crate) the dataset
 //! curation pipeline: tokenisation, Jaccard similarity and TF-IDF cosine.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::sync::{Arc, RwLock};
 
@@ -18,11 +18,11 @@ fn is_token_byte(byte: u8) -> bool {
     byte.is_ascii_alphanumeric() || byte == b'_'
 }
 
-/// The tokens of already-lowercased text, borrowed from it: maximal runs
-/// of token bytes, found by one scan over the bytes. A run starts and ends
-/// next to ASCII bytes, so every slice falls on character boundaries.
-fn tokens(lowered: &str) -> impl Iterator<Item = &str> {
-    let bytes = lowered.as_bytes();
+/// The byte ranges of the tokens of `text`: maximal runs of token bytes,
+/// found by one scan over the bytes. A run starts and ends next to ASCII
+/// bytes, so every range falls on character boundaries.
+fn token_spans(text: &str) -> impl Iterator<Item = (usize, usize)> + '_ {
+    let bytes = text.as_bytes();
     let mut pos = 0;
     std::iter::from_fn(move || {
         while pos < bytes.len() && !is_token_byte(bytes[pos]) {
@@ -35,8 +35,13 @@ fn tokens(lowered: &str) -> impl Iterator<Item = &str> {
         while pos < bytes.len() && is_token_byte(bytes[pos]) {
             pos += 1;
         }
-        Some(&lowered[start..pos])
+        Some((start, pos))
     })
+}
+
+/// The tokens of already-lowercased text, borrowed from it.
+fn tokens(lowered: &str) -> impl Iterator<Item = &str> {
+    token_spans(lowered).map(move |(start, end)| &lowered[start..end])
 }
 
 /// A token's first 8 bytes as a big-endian integer, zero-padded. Tokens
@@ -49,13 +54,70 @@ fn prefix_key(token: &str) -> u64 {
     u64::from_be_bytes(key)
 }
 
+/// A token of some text: its [`prefix_key`] and its byte range.
+type KeyedSpan = (u64, usize, usize);
+
+/// Writes the tokens of already-lowercased text into `spans` in
+/// lexicographic order, repeats kept. The sort compares one integer per
+/// token and falls back to the strings only on equal prefixes.
+fn sort_token_spans(lowered: &str, spans: &mut Vec<KeyedSpan>) {
+    let token = |&(_, start, end): &KeyedSpan| &lowered[start..end];
+    spans.clear();
+    spans.extend(
+        token_spans(lowered).map(|(start, end)| (prefix_key(&lowered[start..end]), start, end)),
+    );
+    spans.sort_unstable_by(|a, b| a.0.cmp(&b.0).then_with(|| token(a).cmp(token(b))));
+}
+
 /// The tokens of already-lowercased text in lexicographic order, repeats
-/// kept. The sort compares one integer per token and falls back to the
-/// strings only on equal prefixes.
+/// kept.
 fn sorted_tokens(lowered: &str) -> Vec<&str> {
-    let mut keyed: Vec<(u64, &str)> = tokens(lowered).map(|t| (prefix_key(t), t)).collect();
-    keyed.sort_unstable_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(b.1)));
-    keyed.into_iter().map(|(_, token)| token).collect()
+    let mut spans = Vec::new();
+    sort_token_spans(lowered, &mut spans);
+    spans.into_iter().map(|(_, start, end)| &lowered[start..end]).collect()
+}
+
+/// Per-thread working memory of TF-IDF queries: the lowercased query, its
+/// sorted tokens and one dot product per document. Every query on a
+/// thread reuses it, so a query allocates nothing once the buffers have
+/// grown to fit; a buffer grown past [`SCRATCH_KEEP`] bytes by one long
+/// query is released after it.
+#[derive(Default)]
+struct QueryScratch {
+    lowered: String,
+    spans: Vec<KeyedSpan>,
+    dots: Vec<f64>,
+}
+
+/// Bytes a [`QueryScratch`] buffer keeps between queries.
+const SCRATCH_KEEP: usize = 64 * 1024;
+
+impl QueryScratch {
+    fn release_oversized(&mut self) {
+        if self.lowered.capacity() > SCRATCH_KEEP {
+            self.lowered = String::new();
+        }
+        if self.spans.capacity() * std::mem::size_of::<KeyedSpan>() > SCRATCH_KEEP {
+            self.spans = Vec::new();
+        }
+        if self.dots.capacity() * std::mem::size_of::<f64>() > SCRATCH_KEEP {
+            self.dots = Vec::new();
+        }
+    }
+}
+
+thread_local! {
+    static QUERY_SCRATCH: RefCell<QueryScratch> = RefCell::default();
+}
+
+/// Runs `f` on the thread's query scratch. `f` must not query again.
+fn with_query_scratch<R>(f: impl FnOnce(&mut QueryScratch) -> R) -> R {
+    QUERY_SCRATCH.with(|cell| {
+        let mut scratch = cell.borrow_mut();
+        let result = f(&mut scratch);
+        scratch.release_oversized();
+        result
+    })
 }
 
 /// The distinct tokens of a text, sorted: the operand of Jaccard
@@ -70,6 +132,8 @@ pub struct TokenSet {
 impl TokenSet {
     /// The token set of `text` (tokenised as [`tokenize`] does).
     pub fn new(text: &str) -> Self {
+        #[cfg(test)]
+        TOKEN_SETS.with(|count| count.set(count.get() + 1));
         let lowered = text.to_ascii_lowercase();
         let mut tokens = sorted_tokens(&lowered);
         tokens.dedup();
@@ -127,6 +191,21 @@ pub fn jaccard_distance(a: &str, b: &str) -> f64 {
 
 thread_local! {
     static TOKENIZED: Cell<u64> = const { Cell::new(0) };
+}
+
+#[cfg(test)]
+thread_local! {
+    static TOKEN_SETS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// How many [`TokenSet`]s the calling thread has built: one per Jaccard
+/// query, one per exemplar of a database the first time it is compared
+/// against, and one per entry a distilled store's merge inserts. A grown
+/// store's generations share their entries' sets and build none, which is
+/// what the store's tests read this count to check.
+#[cfg(test)]
+pub(crate) fn token_sets_built() -> u64 {
+    TOKEN_SETS.with(Cell::get)
 }
 
 /// How many documents the calling thread has tokenized into TF-IDF terms:
@@ -398,36 +477,56 @@ impl TfIdfIndex {
     /// query or document scores `0.0`. Terms no document holds weigh idf 1
     /// in the query norm, whether or not the vocabulary numbers them.
     pub fn scores(&self, query: &str) -> Vec<f64> {
-        let lowered = query.to_ascii_lowercase();
-        let query_terms = sorted_tokens(&lowered);
-        let extension =
-            self.vocab.extension.as_ref().map(|ext| ext.read().expect("vocabulary lock"));
-        let mut dots = vec![-0.0f64; self.norms.len()];
-        let mut query_sq = -0.0f64;
-        for run in query_terms.chunk_by(|a, b| a == b) {
-            let count = run.len() as f64;
-            let id = self
-                .vocab
-                .base
-                .get(run[0])
-                .or_else(|| extension.as_ref()?.get(run[0]))
-                .map(|&id| id as usize)
-                .filter(|&id| id < self.idf.len());
-            let (idf, postings) = match id {
-                Some(id) => (self.idf[id], &self.postings[self.starts[id]..self.starts[id + 1]]),
-                None => (1.0, &[][..]),
-            };
-            let weight = count * idf;
-            query_sq += weight * weight;
-            for &(doc, doc_weight) in postings {
-                dots[doc] += weight * doc_weight;
+        self.with_scores(query, <[f64]>::to_vec)
+    }
+
+    /// Calls `f` with [`scores`](Self::scores)`(query)`, computed in the
+    /// thread's scratch buffers: lowercasing, tokenizing, sorting and
+    /// scoring allocate nothing once the buffers fit the query and the
+    /// corpus.
+    pub(crate) fn with_scores<R>(&self, query: &str, f: impl FnOnce(&[f64]) -> R) -> R {
+        with_query_scratch(|scratch| {
+            let QueryScratch { lowered, spans, dots } = scratch;
+            lowered.clear();
+            lowered.push_str(query);
+            lowered.make_ascii_lowercase();
+            sort_token_spans(lowered, spans);
+            let term = |&(_, start, end): &KeyedSpan| &lowered[start..end];
+            let extension =
+                self.vocab.extension.as_ref().map(|ext| ext.read().expect("vocabulary lock"));
+            dots.clear();
+            dots.resize(self.norms.len(), -0.0);
+            let mut query_sq = -0.0f64;
+            for run in spans.chunk_by(|a, b| a.0 == b.0 && term(a) == term(b)) {
+                let count = run.len() as f64;
+                let name = term(&run[0]);
+                let id = self
+                    .vocab
+                    .base
+                    .get(name)
+                    .or_else(|| extension.as_ref()?.get(name))
+                    .map(|&id| id as usize)
+                    .filter(|&id| id < self.idf.len());
+                let (idf, postings) = match id {
+                    Some(id) => {
+                        (self.idf[id], &self.postings[self.starts[id]..self.starts[id + 1]])
+                    }
+                    None => (1.0, &[][..]),
+                };
+                let weight = count * idf;
+                query_sq += weight * weight;
+                for &(doc, doc_weight) in postings {
+                    dots[doc] += weight * doc_weight;
+                }
             }
-        }
-        let query_norm = query_sq.sqrt();
-        for (dot, &norm) in dots.iter_mut().zip(&self.norms) {
-            *dot = if query_norm == 0.0 || norm == 0.0 { 0.0 } else { *dot / (query_norm * norm) };
-        }
-        dots
+            drop(extension);
+            let query_norm = query_sq.sqrt();
+            for (dot, &norm) in dots.iter_mut().zip(&self.norms) {
+                *dot =
+                    if query_norm == 0.0 || norm == 0.0 { 0.0 } else { *dot / (query_norm * norm) };
+            }
+            f(dots)
+        })
     }
 
     /// Indices of the `k` most similar documents with their scores,

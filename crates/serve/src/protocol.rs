@@ -290,8 +290,13 @@ const LINE_FIXED_BYTES: usize = 160;
 /// from where it lives, once per finished episode, not inside the episode.
 pub fn outcome_stream(fp: &str, outcome: &FixOutcome) -> String {
     let steps = &outcome.trace.steps;
+    // Sized without rendering anything: the model's reasoning is written
+    // once, below, and only estimated here.
     let text: usize = outcome.final_code.len()
-        + steps.iter().map(|step| step.thought.len() + step.observation.len()).sum::<usize>();
+        + steps
+            .iter()
+            .map(|step| step.thought.len_hint() + step.observation.len_hint())
+            .sum::<usize>();
     // Escapes grow the text a little (logs and code are full of newlines).
     let capacity = text + text / 8 + (steps.len() + 1) * (fp.len() + LINE_FIXED_BYTES);
     let mut out = String::with_capacity(capacity);

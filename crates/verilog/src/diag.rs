@@ -314,53 +314,76 @@ impl Diagnostic {
         self.severity == Severity::Error
     }
 
+    /// Whether `other` reports the same error instance: the same category
+    /// and payload, wherever it sits (a revision shifts spans, not the
+    /// error). Compared in place.
+    pub fn same_error(&self, other: &Diagnostic) -> bool {
+        self.category == other.category && self.data == other.data
+    }
+
     /// A neutral one-line description, independent of compiler personality.
     /// Used in traces and test assertions, not in rendered compiler logs.
     pub fn headline(&self) -> String {
+        let mut headline = String::new();
+        self.write_headline(&mut headline).expect("writing to a String cannot fail");
+        headline
+    }
+
+    /// Writes the [`headline`](Self::headline) into `out`, formatting each
+    /// piece straight into it: a transcript or a wire event that shows the
+    /// headline builds no string of its own for it.
+    pub fn write_headline<W: fmt::Write + ?Sized>(&self, out: &mut W) -> fmt::Result {
         match &self.data {
-            DiagData::Undeclared { name } => format!("'{name}' is not declared"),
+            DiagData::Undeclared { name } => write!(out, "'{name}' is not declared"),
             DiagData::IndexOob { target, index, msb, lsb, .. } => {
-                format!("index {index} of '{target}' outside declared range [{msb}:{lsb}]")
+                write!(out, "index {index} of '{target}' outside declared range [{msb}:{lsb}]")
             }
             DiagData::BadProceduralLvalue { name } => {
-                format!("'{name}' is not a valid l-value in a procedural block")
+                write!(out, "'{name}' is not a valid l-value in a procedural block")
             }
-            DiagData::BadContinuousLvalue { name } => {
-                format!("'{name}' is a variable and cannot be driven by a continuous assignment")
+            DiagData::BadContinuousLvalue { name } => write!(
+                out,
+                "'{name}' is a variable and cannot be driven by a continuous assignment"
+            ),
+            DiagData::InputAssigned { name } => {
+                write!(out, "input port '{name}' cannot be assigned")
             }
-            DiagData::InputAssigned { name } => format!("input port '{name}' cannot be assigned"),
             DiagData::PortMismatch { instance, module, port, expected, found } => match port {
-                Some(p) => format!("instance '{instance}': module '{module}' has no port '{p}'"),
-                None => format!(
+                Some(p) => {
+                    write!(out, "instance '{instance}': module '{module}' has no port '{p}'")
+                }
+                None => write!(
+                    out,
                     "instance '{instance}' of '{module}': {found} connections for {expected} ports"
                 ),
             },
-            DiagData::ModuleNotFound { name } => format!("unknown module '{name}'"),
-            DiagData::Redeclared { name } => format!("'{name}' is already declared"),
+            DiagData::ModuleNotFound { name } => write!(out, "unknown module '{name}'"),
+            DiagData::Redeclared { name } => write!(out, "'{name}' is already declared"),
             DiagData::Syntax { found, expected } => {
-                format!("syntax error near '{found}', expected {expected}")
+                write!(out, "syntax error near '{found}', expected {expected}")
             }
-            DiagData::Unbalanced { construct } => format!("unbalanced '{construct}'"),
+            DiagData::Unbalanced { construct } => write!(out, "unbalanced '{construct}'"),
             DiagData::CStyle { construct } => {
-                format!("'{construct}' is not valid Verilog syntax")
+                write!(out, "'{construct}' is not valid Verilog syntax")
             }
-            DiagData::Directive { directive } => format!("misplaced directive '`{directive}'"),
+            DiagData::Directive { directive } => write!(out, "misplaced directive '`{directive}'"),
             DiagData::KeywordAsId { keyword } => {
-                format!("reserved word '{keyword}' used as identifier")
+                write!(out, "reserved word '{keyword}' used as identifier")
             }
             DiagData::Width { lhs_width, rhs_width } => {
-                format!("assignment width mismatch ({lhs_width} vs {rhs_width} bits)")
+                write!(out, "assignment width mismatch ({lhs_width} vs {rhs_width} bits)")
             }
-            DiagData::Latch { name } => format!("inferring latch for '{name}'"),
-            DiagData::NoDefault => "case statement has no default arm".to_owned(),
-            DiagData::Unused { name } => format!("'{name}' is declared but never read"),
+            DiagData::Latch { name } => write!(out, "inferring latch for '{name}'"),
+            DiagData::NoDefault => out.write_str("case statement has no default arm"),
+            DiagData::Unused { name } => write!(out, "'{name}' is declared but never read"),
         }
     }
 }
 
 impl fmt::Display for Diagnostic {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}: {}", self.severity, self.headline())
+        write!(f, "{}: ", self.severity)?;
+        self.write_headline(f)
     }
 }
 
@@ -391,6 +414,36 @@ mod tests {
         slugs.sort_unstable();
         slugs.dedup();
         assert_eq!(slugs.len(), ErrorCategory::ALL.len());
+    }
+
+    #[test]
+    fn slugs_are_injective_and_colon_free() {
+        // A `slug:payload` string names its category unambiguously.
+        for a in ErrorCategory::ALL {
+            assert!(!a.slug().contains(':'), "{a:?}");
+            for b in ErrorCategory::ALL {
+                assert_eq!(a.slug() == b.slug(), a == b, "{a:?} {b:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn same_error_ignores_the_span() {
+        let at = |start, name: &str| {
+            Diagnostic::error(
+                ErrorCategory::UndeclaredIdentifier,
+                Span::new(start, start + 3),
+                DiagData::Undeclared { name: name.into() },
+            )
+        };
+        assert!(at(0, "clk").same_error(&at(40, "clk")));
+        assert!(!at(0, "clk").same_error(&at(0, "rst")));
+        let redeclared = Diagnostic::error(
+            ErrorCategory::Redeclaration,
+            Span::new(0, 3),
+            DiagData::Undeclared { name: "clk".into() },
+        );
+        assert!(!at(0, "clk").same_error(&redeclared));
     }
 
     #[test]
