@@ -64,8 +64,15 @@ fn bench_simulator(c: &mut Criterion) {
     });
     let conway = rtlfixer_dataset::suites::find_problem("rtllm/conwaylife").expect("exists");
     let conway_analysis = rtlfixer_verilog::compile(&conway.solution);
+    // A cold set-up: elaborate, lower, tape compile and zero the state.
+    // `Simulator::new` would hit the design cache after its first call and
+    // time only the state.
     c.bench_function("sim/conway_elaborate", |b| {
-        b.iter(|| Simulator::new(black_box(&conway_analysis), "top_module"))
+        b.iter(|| {
+            let design = rtlfixer_sim::elab::elaborate(black_box(&conway_analysis), "top_module")
+                .expect("elaborates");
+            Simulator::from_design(std::sync::Arc::new(design))
+        })
     });
 
     // Steady-state per-cycle throughput on the shared design set (see
@@ -166,7 +173,8 @@ fn bench_artifact_cache(c: &mut Criterion) {
         b.iter(|| quartus.compile_cached(black_box(BROKEN), "main.sv"))
     });
 
-    // Design cache: elaboration vs reuse of the shared `Arc<Design>`.
+    // Design cache: elaboration (which lowers and tape-compiles before it
+    // returns) vs reuse of the shared `Arc<Design>`.
     let analysis = rtlfixer_verilog::compile(&source);
     c.bench_function("cache/elaborate_cold", |b| {
         b.iter(|| rtlfixer_sim::elab::elaborate(black_box(&analysis), "top_module"))

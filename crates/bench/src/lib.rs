@@ -185,12 +185,30 @@ fn telemetry_json() -> serde_json::Value {
 /// `"telemetry"` block: every registry counter, p50/p95/mean span
 /// latencies, revisions-per-error-category and per-cache hit ratios.
 ///
+/// Each entry also records the process's `peak_rss_mb`, its peak resident
+/// set so far, where the platform reports it.
+///
 /// Environment overrides:
 /// * `RTLFIXER_RESULTS_DIR` — output directory (used by tests).
 /// * `RTLFIXER_RECORD_AS` — record under this key instead of `experiment`
 ///   (used for A/B runs of one binary, e.g. cache on vs off).
 pub fn record_run(experiment: &str, jobs: usize, stats: &rtlfixer_eval::RunStats) {
     record_run_with(experiment, jobs, stats, &[]);
+}
+
+/// This process's peak resident set so far, in MB (`VmHWM` from
+/// `/proc/self/status`, kB / 1024); `None` where that file cannot be read.
+fn peak_rss_mb() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let kb: u64 = status
+        .lines()
+        .find_map(|line| line.strip_prefix("VmHWM:"))?
+        .trim()
+        .trim_end_matches("kB")
+        .trim()
+        .parse()
+        .ok()?;
+    Some(kb as f64 / 1024.0)
 }
 
 /// [`record_run`] plus experiment-specific keys merged into the entry.
@@ -235,6 +253,9 @@ pub fn record_run_with(
         if let Some(mut map) = entry.as_object_mut() {
             map.insert("telemetry".to_owned(), telemetry_json());
         }
+    }
+    if let (Some(mut map), Some(mb)) = (entry.as_object_mut(), peak_rss_mb()) {
+        map.insert("peak_rss_mb".to_owned(), serde_json::json!(mb));
     }
     if let Some(mut map) = entry.as_object_mut() {
         for (k, v) in extra {

@@ -75,6 +75,29 @@ fn figure4_quick_records_both_suites_scheduler_stats() {
     assert_eq!(entry["scheduler"]["batches"].as_u64(), Some(60), "{text}");
 }
 
+#[test]
+fn bench_eval_entries_record_peak_rss() {
+    let results_dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("cli_peak_rss_results");
+    let _ = std::fs::remove_dir_all(&results_dir);
+    let output = Command::new(env!("CARGO_BIN_EXE_stats55"))
+        .args(["--quick", "--jobs", "2"])
+        .env("RTLFIXER_RESULTS_DIR", &results_dir)
+        .output()
+        .expect("stats55 binary runs");
+    assert!(
+        output.status.success(),
+        "stats55 --quick failed:\n{}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    let text = std::fs::read_to_string(results_dir.join("bench_eval.json"))
+        .expect("bench_eval.json written");
+    let json: serde_json::Value = serde_json::from_str(&text).expect("valid JSON");
+    // The process's `VmHWM`, in MB: present wherever `/proc/self/status`
+    // is readable, as it is on Linux.
+    let peak = json["stats55"]["peak_rss_mb"].as_f64().unwrap_or(0.0);
+    assert!(peak > 0.0, "{text}");
+}
+
 /// The scientific outputs of a `table1` run under the given environment:
 /// every `fix_rate` line of the JSON cell dump, in order. Wall-clock fields
 /// are deliberately excluded — they are the only thing caching is allowed

@@ -122,11 +122,17 @@ impl Problem {
     /// high for the first two cycles then mostly low, so sequential designs
     /// start from a defined state.
     pub fn stimuli(&self, seed: u64) -> Vec<BTreeMap<String, LogicVec>> {
+        self.frames(seed).collect()
+    }
+
+    /// [`stimuli`](Problem::stimuli), one frame per cycle, each built when
+    /// it is pulled: a check that stops at its first mismatching cycle
+    /// builds no frame after it.
+    fn frames(&self, seed: u64) -> impl Iterator<Item = BTreeMap<String, LogicVec>> + '_ {
         let drives: Vec<Drive> = self.inputs.iter().map(|(name, _)| Drive::of(name)).collect();
         let first_width = self.inputs.first().map_or(0, |&(_, width)| width);
         let mut rng = Xorshift::new(seed);
-        let mut stimuli = Vec::with_capacity(self.test_cycles);
-        for cycle in 0..self.test_cycles {
+        (0..self.test_cycles).map(move |cycle| {
             let mut frame = BTreeMap::new();
             // On copy cycles, the first input's draw: every input computes
             // its pattern, so input 0 fills this before any other reads it.
@@ -164,9 +170,8 @@ impl Problem {
                 };
                 frame.insert(name.clone(), value);
             }
-            stimuli.push(frame);
-        }
-        stimuli
+            frame
+        })
     }
 
     /// Compiles and simulates `code` against the golden model.
@@ -206,9 +211,8 @@ impl Problem {
             return Verdict::CompileError;
         }
         let mut golden = (self.golden)();
-        let stimuli = self.stimuli(seed);
-        match run_until_mismatch(&analysis, &self.top, golden.as_mut(), &stimuli, &self.clocking)
-        {
+        let frames = self.frames(seed);
+        match run_until_mismatch(&analysis, &self.top, golden.as_mut(), frames, &self.clocking) {
             Ok(None) => Verdict::Pass,
             // A design that compiles but cannot be simulated (it oscillates)
             // is functionally wrong, not a syntax error.
@@ -406,6 +410,34 @@ mod tests {
         assert_eq!(stimuli[0]["reset"].to_u64(), Some(1));
         assert_eq!(stimuli[1]["reset"].to_u64(), Some(1));
         assert_eq!(stimuli[2]["reset"].to_u64(), Some(0));
+    }
+
+    #[test]
+    fn a_check_pulls_frames_only_up_to_its_first_mismatch() {
+        let p = inverter_problem();
+        // Wrong only on the all-zeros input, which cycle 5 drives.
+        let code = "module top_module(input [7:0] a, output [7:0] y);\n\
+                    assign y = (a == 8'd0) ? 8'd0 : ~a;\nendmodule";
+        let analysis = rtlfixer_verilog::compile(code);
+        let seed = 0xC0FFEE;
+        let full = rtlfixer_sim::run_testbench(
+            &analysis,
+            &p.top,
+            (p.golden)().as_mut(),
+            &p.stimuli(seed),
+            &p.clocking,
+        )
+        .expect("simulates");
+        let cycle = full.first_mismatch.expect("mismatches").cycle;
+        assert!(cycle > 0, "the mismatch must leave frames unread");
+        let pulled = std::cell::Cell::new(0);
+        let frames = p.frames(seed).inspect(|_| pulled.set(pulled.get() + 1));
+        let first =
+            run_until_mismatch(&analysis, &p.top, (p.golden)().as_mut(), frames, &p.clocking)
+                .expect("simulates");
+        assert_eq!(first.map(|m| m.cycle), Some(cycle));
+        assert_eq!(pulled.get(), cycle + 1);
+        assert_eq!(p.check_seeded(code, seed), Verdict::SimMismatch);
     }
 
     #[test]

@@ -15,7 +15,8 @@
 //!   duration into the registry (and the JSONL sink) when dropped. The
 //!   canonical kinds are [`kind::EPISODE`], [`kind::TURN`],
 //!   [`kind::MODEL`], [`kind::COMPILE`], [`kind::RETRIEVE`],
-//!   [`kind::SIMULATE`], [`kind::RETRY`] and [`kind::REQUEST`]. Layers on
+//!   [`kind::SIMULATE`], [`kind::SETUP`], [`kind::RETRY`] and
+//!   [`kind::REQUEST`]. Layers on
 //!   a *simulated* clock (the resilient transport's backoff) record spans
 //!   with [`record_span_simulated`] instead of real sleeping, so timings
 //!   stay realistic without slowing evaluation down.
@@ -69,6 +70,10 @@ pub mod kind {
     pub const RETRIEVE: &str = "retrieve";
     /// One testbench simulation run.
     pub const SIMULATE: &str = "simulate";
+    /// One simulator set-up: a design-cache fill (elaborate, lower, tape
+    /// compile). Nested inside the [`SIMULATE`] span that needed the
+    /// design.
+    pub const SETUP: &str = "setup";
     /// One backoff-and-retry of the resilient LLM transport
     /// (simulated-clock duration).
     pub const RETRY: &str = "retry";

@@ -1,10 +1,18 @@
-//! Elaboration: flattening an analyzed design into a [`Design`] — a set of
-//! signals plus combinational, sequential and initial processes that the
-//! interpreter executes.
+//! Elaboration: flattening an analyzed design into signals plus
+//! combinational, sequential and initial processes, then lowering them
+//! into the kernel the interpreter executes. A [`Design`] is what is left:
+//! its top, its ports and the kernel.
 //!
 //! Instances are flattened with hierarchical name prefixes (`u1.q`), and
 //! generate-for loops are unrolled at elaboration time with the genvar bound
 //! as a constant parameter, exactly like a synthesis front-end.
+//!
+//! The flattened process list is a temporary: each process borrows its
+//! expressions and statements from the [`Analysis`], and every process of
+//! one scope (an instance, or one generate iteration) shares one `Arc` of
+//! that scope's prefixes and constants. [`elaborate`] lowers the list (the
+//! `lower` module: name interning, constant folding, tape compilation)
+//! before it returns, so nothing copied from the source outlives set-up.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -15,6 +23,8 @@ use rtlfixer_verilog::ast::{
 };
 use rtlfixer_verilog::const_eval;
 use rtlfixer_verilog::Analysis;
+
+use crate::lower::{lower, Kernel};
 
 /// Maximum instance nesting depth.
 const MAX_DEPTH: usize = 16;
@@ -104,121 +114,123 @@ pub struct PortDef {
 
 /// Scope information shared by the processes of one module instance (or one
 /// generate-scope within it).
-#[derive(Debug, Clone)]
-pub struct Scope {
+#[derive(Debug)]
+pub(crate) struct Scope {
     /// Prefix of the instance this process belongs to (`""` for top,
     /// `"u1."` for a child instance).
-    pub module_prefix: String,
+    pub(crate) module_prefix: String,
     /// Full scope prefix including generate-block scopes
     /// (`"u1.gen[3]."`). Name resolution walks from here back to
     /// [`Scope::module_prefix`].
-    pub scope_prefix: String,
+    pub(crate) scope_prefix: String,
     /// Constant bindings: parameters plus enclosing genvar values.
-    pub params: Arc<HashMap<String, i64>>,
+    pub(crate) params: Arc<HashMap<String, i64>>,
 }
 
-/// A combinational or initial process.
-#[derive(Debug, Clone)]
-pub struct Proc {
-    /// Scope for name resolution.
-    pub scope: Scope,
+/// A combinational or initial process, borrowing its body from the
+/// analysis.
+#[derive(Debug)]
+pub(crate) struct Proc<'a> {
+    /// Scope for name resolution, shared by every process of the scope.
+    pub(crate) scope: Arc<Scope>,
     /// What to execute.
-    pub kind: ProcKind,
+    pub(crate) kind: ProcKind<'a>,
 }
 
 /// Process payload.
-#[derive(Debug, Clone)]
-pub enum ProcKind {
+#[derive(Debug)]
+pub(crate) enum ProcKind<'a> {
     /// `assign lhs = rhs` (both in this scope).
     Assign {
         /// Target.
-        lhs: Expr,
+        lhs: &'a Expr,
         /// Source.
-        rhs: Expr,
+        rhs: &'a Expr,
+    },
+    /// A net initialiser, `wire name = rhs`: an assignment to the net.
+    Init {
+        /// The declared net.
+        name: &'a str,
+        /// Source.
+        rhs: &'a Expr,
     },
     /// An `always @*` (or initial) body.
-    Block(Stmt),
+    Block(&'a Stmt),
     /// Port bind: copy `expr` (evaluated in this scope) into the child's
     /// input signal (full flattened name).
     BindIn {
         /// Full flattened child signal name.
         child: String,
         /// Parent-scope expression.
-        expr: Expr,
+        expr: &'a Expr,
     },
     /// Port bind: copy the child's output signal into `lhs` (this scope).
     BindOut {
         /// Parent-scope l-value.
-        lhs: Expr,
+        lhs: &'a Expr,
         /// Full flattened child signal name.
         child: String,
     },
 }
 
 /// An edge-triggered process.
-#[derive(Debug, Clone)]
-pub struct SeqProc {
+#[derive(Debug)]
+pub(crate) struct SeqProc<'a> {
     /// Scope for name resolution.
-    pub scope: Scope,
+    pub(crate) scope: Arc<Scope>,
     /// Triggering edges: polarity + full flattened signal name.
-    pub edges: Vec<(Edge, String)>,
+    pub(crate) edges: Vec<(Edge, String)>,
     /// Body, executed with non-blocking semantics available.
-    pub body: Stmt,
+    pub(crate) body: &'a Stmt,
 }
 
 /// A user function, resolvable from its defining scope.
-#[derive(Debug, Clone)]
-pub struct FunctionDef {
+#[derive(Debug)]
+pub(crate) struct FunctionDef<'a> {
     /// Argument names and widths, in order.
-    pub args: Vec<(String, u32)>,
+    pub(crate) args: Vec<(&'a str, u32)>,
     /// Return width.
-    pub width: u32,
+    pub(crate) width: u32,
     /// Body.
-    pub body: Stmt,
+    pub(crate) body: &'a Stmt,
     /// Defining scope.
-    pub scope: Scope,
+    pub(crate) scope: Arc<Scope>,
 }
 
-/// Lazily-populated slot for the lowered execution form of a [`Design`]
-/// (see `crate::lower`). Computed once per design by the first
-/// [`crate::Simulator`] built on it and shared by every simulator after
-/// that, including through the `elaborate_shared` design cache.
-///
-/// Cloning a `Design` deliberately does **not** clone the slot: the clone
-/// may be mutated before simulation, which would invalidate the kernel.
+/// The flattened design lowering consumes: every signal and process of the
+/// hierarchy, borrowed from the analysis it was elaborated from.
 #[derive(Debug, Default)]
-pub struct LowerCell(pub(crate) std::sync::OnceLock<Arc<crate::lower::Kernel>>);
-
-impl Clone for LowerCell {
-    fn clone(&self) -> Self {
-        LowerCell::default()
-    }
+pub(crate) struct Flat<'a> {
+    /// All flattened signals.
+    pub(crate) signals: HashMap<String, SigDef>,
+    /// Combinational processes (assigns, always@*, port binds) in order.
+    pub(crate) comb: Vec<Proc<'a>>,
+    /// Edge-triggered processes.
+    pub(crate) seq: Vec<SeqProc<'a>>,
+    /// Initial processes.
+    pub(crate) init: Vec<Proc<'a>>,
+    /// Functions keyed by `{module_prefix}{name}`.
+    pub(crate) functions: HashMap<String, FunctionDef<'a>>,
 }
 
-/// A fully elaborated (flattened) design.
+/// A fully elaborated design: its top, its ports and the lowered kernel,
+/// which holds every flattened signal's name and definition and every
+/// process in execution form. Immutable once built, so clones and the
+/// simulators built on it share one kernel.
 #[derive(Debug, Clone)]
 pub struct Design {
     /// Top module name.
     pub top: String,
-    /// All flattened signals.
-    pub signals: HashMap<String, SigDef>,
     /// Top-level input ports.
     pub inputs: Vec<PortDef>,
     /// Top-level output ports.
     pub outputs: Vec<PortDef>,
-    /// Combinational processes (assigns, always@*, port binds) in order.
-    pub comb: Vec<Proc>,
-    /// Edge-triggered processes.
-    pub seq: Vec<SeqProc>,
-    /// Initial processes.
-    pub init: Vec<Proc>,
-    /// Functions keyed by `{module_prefix}{name}`.
-    pub functions: HashMap<String, FunctionDef>,
-    /// Cached lowered execution form (never cloned with the design).
-    pub(crate) lowered: LowerCell,
+    /// The lowered execution form.
+    pub(crate) kernel: Arc<Kernel>,
 }
 
-/// Elaborates `top` from an error-free analysis.
+/// Elaborates `top` from an error-free analysis and lowers it, tapes
+/// compiled.
 ///
 /// # Errors
 ///
@@ -226,6 +238,29 @@ pub struct Design {
 /// missing, the hierarchy recurses too deep, or an unsupported construct is
 /// encountered.
 pub fn elaborate(analysis: &Analysis, top: &str) -> Result<Design, ElabError> {
+    let (flat, inputs, outputs) = flatten_top(analysis, top)?;
+    Ok(Design { top: top.to_owned(), inputs, outputs, kernel: Arc::new(lower(flat)) })
+}
+
+/// Runs elaboration's flattening alone — no lowering — and returns how many
+/// processes it produced: [`elaborate`]'s first phase, exposed for
+/// allocation budgets.
+///
+/// # Errors
+///
+/// As [`elaborate`].
+#[doc(hidden)]
+pub fn flatten(analysis: &Analysis, top: &str) -> Result<usize, ElabError> {
+    let (flat, _, _) = flatten_top(analysis, top)?;
+    Ok(flat.comb.len() + flat.seq.len() + flat.init.len())
+}
+
+/// Flattens `top` and reads its ports: the flat form plus its inputs and
+/// outputs.
+fn flatten_top<'a>(
+    analysis: &'a Analysis,
+    top: &str,
+) -> Result<(Flat<'a>, Vec<PortDef>, Vec<PortDef>), ElabError> {
     let error_count = analysis.errors().len();
     if error_count > 0 {
         return Err(ElabError::CompileErrors(error_count));
@@ -235,30 +270,21 @@ pub fn elaborate(analysis: &Analysis, top: &str) -> Result<Design, ElabError> {
         .module(top)
         .ok_or_else(|| ElabError::TopNotFound(top.to_owned()))?;
 
-    let mut design = Design {
-        top: top.to_owned(),
-        signals: HashMap::new(),
-        inputs: Vec::new(),
-        outputs: Vec::new(),
-        comb: Vec::new(),
-        seq: Vec::new(),
-        init: Vec::new(),
-        functions: HashMap::new(),
-        lowered: LowerCell::default(),
-    };
+    let mut flat = Flat::default();
     let params = Arc::new(module_params(module, &HashMap::new()));
-    elaborate_module(analysis, module, "", Arc::clone(&params), &mut design, 0)?;
+    elaborate_module(analysis, module, "", Arc::clone(&params), &mut flat, 0)?;
 
     // Top ports.
+    let (mut inputs, mut outputs) = (Vec::new(), Vec::new());
     for port in &module.ports {
         let width = port_width(port, &params);
         let def = PortDef { name: port.name.clone(), width };
         match port.direction {
-            Direction::Input => design.inputs.push(def),
-            Direction::Output | Direction::Inout => design.outputs.push(def),
+            Direction::Input => inputs.push(def),
+            Direction::Output | Direction::Inout => outputs.push(def),
         }
     }
-    Ok(design)
+    Ok((flat, inputs, outputs))
 }
 
 /// Key of the process-wide design cache: source content hash plus top
@@ -280,12 +306,16 @@ fn design_cache(
 /// run — once per proposal in the §5 local search, once per sample in the
 /// pass@k harness — yet elaboration is a pure function of the analysed
 /// source and the top name. This is the *elaborate-once fast path*:
-/// callers get a shared immutable [`Design`] and keep per-run mutable
-/// state (signal values) on the side. Failures are memoised too, so
-/// repeatedly simulating an unsupported design stays cheap.
+/// callers get a shared immutable [`Design`], kernel included, and keep
+/// per-run mutable state (signal values) on the side. Failures are memoised
+/// too, so repeatedly simulating an unsupported design stays cheap. Each
+/// fill is timed as a [`rtlfixer_obs::kind::SETUP`] span.
 pub fn elaborate_shared(analysis: &Analysis, top: &str) -> Result<Arc<Design>, ElabError> {
     let key = (analysis.fingerprint, top.to_owned());
-    design_cache().get_or_insert_with(key, || elaborate(analysis, top).map(Arc::new))
+    design_cache().get_or_insert_with(key, || {
+        let _setup_span = rtlfixer_obs::span(rtlfixer_obs::kind::SETUP);
+        elaborate(analysis, top).map(Arc::new)
+    })
 }
 
 /// Hit/miss counters of the process-wide [`elaborate_shared`] cache.
@@ -331,12 +361,12 @@ fn module_params(module: &Module, overrides: &HashMap<String, i64>) -> HashMap<S
     env
 }
 
-fn elaborate_module(
-    analysis: &Analysis,
-    module: &Module,
+fn elaborate_module<'a>(
+    analysis: &'a Analysis,
+    module: &'a Module,
     prefix: &str,
     params: Arc<HashMap<String, i64>>,
-    design: &mut Design,
+    flat: &mut Flat<'a>,
     depth: usize,
 ) -> Result<(), ElabError> {
     if depth > MAX_DEPTH {
@@ -345,7 +375,7 @@ fn elaborate_module(
     // Register port signals.
     for port in &module.ports {
         register_signal(
-            design,
+            flat,
             &format!("{prefix}{}", port.name),
             &port.range,
             port.signed,
@@ -353,28 +383,28 @@ fn elaborate_module(
             &params,
         );
     }
-    let scope = Scope {
+    let scope = Arc::new(Scope {
         module_prefix: prefix.to_owned(),
         scope_prefix: prefix.to_owned(),
-        params: Arc::clone(&params),
-    };
-    elaborate_items(analysis, module, &module.items, &scope, design, depth)
+        params,
+    });
+    elaborate_items(analysis, &module.items, &scope, flat, depth)
 }
 
 fn register_signal(
-    design: &mut Design,
+    flat: &mut Flat<'_>,
     full_name: &str,
     range: &Option<rtlfixer_verilog::ast::RangeDecl>,
     signed: bool,
     unpacked: &Option<rtlfixer_verilog::ast::RangeDecl>,
     env: &HashMap<String, i64>,
 ) {
-    register_signal_kind(design, full_name, range, signed, unpacked, env, false)
+    register_signal_kind(flat, full_name, range, signed, unpacked, env, false)
 }
 
 #[allow(clippy::too_many_arguments)]
 fn register_signal_kind(
-    design: &mut Design,
+    flat: &mut Flat<'_>,
     full_name: &str,
     range: &Option<rtlfixer_verilog::ast::RangeDecl>,
     signed: bool,
@@ -397,8 +427,7 @@ fn register_signal_kind(
         )
     });
     let width = msb.abs_diff(lsb) as u32 + 1;
-    design
-        .signals
+    flat.signals
         .entry(full_name.to_owned())
         .and_modify(|def| {
             // A body decl refining a port: prefer the wider/more specific.
@@ -415,12 +444,11 @@ fn register_signal_kind(
         .or_insert(SigDef { width, msb, lsb, signed, words });
 }
 
-fn elaborate_items(
-    analysis: &Analysis,
-    module: &Module,
-    items: &[Item],
-    scope: &Scope,
-    design: &mut Design,
+fn elaborate_items<'a>(
+    analysis: &'a Analysis,
+    items: &'a [Item],
+    scope: &Arc<Scope>,
+    flat: &mut Flat<'a>,
     depth: usize,
 ) -> Result<(), ElabError> {
     for item in items {
@@ -430,7 +458,7 @@ fn elaborate_items(
                 for decl in decls {
                     let full = format!("{}{}", scope.scope_prefix, decl.name);
                     register_signal_kind(
-                        design,
+                        flat,
                         &full,
                         range,
                         *signed,
@@ -439,77 +467,57 @@ fn elaborate_items(
                         is_integer,
                     );
                     if let Some(init) = &decl.init {
-                        design.init.push(Proc {
-                            scope: scope.clone(),
-                            kind: ProcKind::Assign {
-                                lhs: Expr::Ident { name: decl.name.clone(), span: decl.span },
-                                rhs: init.clone(),
-                            },
-                        });
+                        let kind = || ProcKind::Init { name: &decl.name, rhs: init };
+                        flat.init.push(Proc { scope: Arc::clone(scope), kind: kind() });
                         // Nets with initialisers behave like continuous
                         // assignments for combinational logic.
-                        design.comb.push(Proc {
-                            scope: scope.clone(),
-                            kind: ProcKind::Assign {
-                                lhs: Expr::Ident { name: decl.name.clone(), span: decl.span },
-                                rhs: init.clone(),
-                            },
-                        });
+                        flat.comb.push(Proc { scope: Arc::clone(scope), kind: kind() });
                     }
                 }
             }
             Item::PortDecl(port) => {
                 let full = format!("{}{}", scope.scope_prefix, port.name);
-                register_signal(design, &full, &port.range, port.signed, &None, &scope.params);
+                register_signal(flat, &full, &port.range, port.signed, &None, &scope.params);
             }
             Item::Param(_) | Item::Genvar { .. } => {}
             Item::ContinuousAssign { assigns, .. } => {
                 for (lhs, rhs) in assigns {
-                    design.comb.push(Proc {
-                        scope: scope.clone(),
-                        kind: ProcKind::Assign { lhs: lhs.clone(), rhs: rhs.clone() },
-                    });
+                    flat.comb
+                        .push(Proc { scope: Arc::clone(scope), kind: ProcKind::Assign { lhs, rhs } });
                 }
             }
             Item::Always { sensitivity, body, .. } => match sensitivity {
                 Sensitivity::Star | Sensitivity::Signals(_) | Sensitivity::None => {
-                    design
-                        .comb
-                        .push(Proc { scope: scope.clone(), kind: ProcKind::Block(body.clone()) });
+                    flat.comb.push(Proc { scope: Arc::clone(scope), kind: ProcKind::Block(body) });
                 }
                 Sensitivity::Edges(edges) => {
-                    let mut resolved = Vec::new();
+                    let mut resolved = Vec::with_capacity(edges.len());
                     for edge in edges {
                         let name = edge.signal.as_ident().ok_or_else(|| {
                             ElabError::Unsupported("non-identifier edge expression".into())
                         })?;
                         resolved.push((edge.edge, format!("{}{name}", scope.module_prefix)));
                     }
-                    design.seq.push(SeqProc {
-                        scope: scope.clone(),
-                        edges: resolved,
-                        body: body.clone(),
-                    });
+                    flat.seq.push(SeqProc { scope: Arc::clone(scope), edges: resolved, body });
                 }
             },
             Item::Initial { body, .. } => {
-                design.init.push(Proc { scope: scope.clone(), kind: ProcKind::Block(body.clone()) });
+                flat.init.push(Proc { scope: Arc::clone(scope), kind: ProcKind::Block(body) });
             }
             Item::Instance { module: child_name, name, params: param_conns, conns, .. } => {
                 elaborate_instance(
                     analysis,
-                    module,
                     child_name,
                     name,
                     param_conns,
                     conns,
                     scope,
-                    design,
+                    flat,
                     depth,
                 )?;
             }
             Item::Generate { items, .. } => {
-                elaborate_items(analysis, module, items, scope, design, depth)?;
+                elaborate_items(analysis, items, scope, flat, depth)?;
             }
             Item::GenFor { var, init, cond, step, label, items, .. } => {
                 let mut env = (*scope.params).clone();
@@ -517,7 +525,12 @@ fn elaborate_items(
                     .map_err(|_| ElabError::Unsupported("non-constant generate bound".into()))?;
                 let mut count = 0i64;
                 loop {
-                    env.insert(var.clone(), value);
+                    match env.get_mut(var) {
+                        Some(slot) => *slot = value,
+                        None => {
+                            env.insert(var.clone(), value);
+                        }
+                    }
                     match const_eval::eval(cond, &env) {
                         Ok(0) => break,
                         Ok(_) => {}
@@ -527,15 +540,15 @@ fn elaborate_items(
                             ))
                         }
                     }
-                    let iter_scope = Scope {
+                    let iter_scope = Arc::new(Scope {
                         module_prefix: scope.module_prefix.clone(),
                         scope_prefix: match label {
                             Some(l) => format!("{}{l}[{value}].", scope.scope_prefix),
                             None => format!("{}genblk[{value}].", scope.scope_prefix),
                         },
                         params: Arc::new(env.clone()),
-                    };
-                    elaborate_items(analysis, module, items, &iter_scope, design, depth)?;
+                    });
+                    elaborate_items(analysis, items, &iter_scope, flat, depth)?;
                     count += 1;
                     if count > MAX_GEN_UNROLL {
                         return Err(ElabError::Unsupported("generate loop too large".into()));
@@ -555,11 +568,11 @@ fn elaborate_items(
                 };
                 let args = args
                     .iter()
-                    .map(|arg| (arg.name.clone(), port_width(arg, &scope.params)))
+                    .map(|arg| (arg.name.as_str(), port_width(arg, &scope.params)))
                     .collect();
-                design.functions.insert(
+                flat.functions.insert(
                     format!("{}{name}", scope.module_prefix),
-                    FunctionDef { args, width, body: body.clone(), scope: scope.clone() },
+                    FunctionDef { args, width, body, scope: Arc::clone(scope) },
                 );
             }
         }
@@ -568,15 +581,14 @@ fn elaborate_items(
 }
 
 #[allow(clippy::too_many_arguments)]
-fn elaborate_instance(
-    analysis: &Analysis,
-    _parent: &Module,
+fn elaborate_instance<'a>(
+    analysis: &'a Analysis,
     child_name: &str,
     instance: &str,
     param_conns: &[Connection],
-    conns: &[Connection],
-    scope: &Scope,
-    design: &mut Design,
+    conns: &'a [Connection],
+    scope: &Arc<Scope>,
+    flat: &mut Flat<'a>,
     depth: usize,
 ) -> Result<(), ElabError> {
     let child = analysis
@@ -602,36 +614,27 @@ fn elaborate_instance(
     }
     let child_params = module_params(child, &overrides);
     let child_prefix = format!("{}{instance}.", scope.scope_prefix);
-    elaborate_module(analysis, child, &child_prefix, Arc::new(child_params), design, depth + 1)?;
+    elaborate_module(analysis, child, &child_prefix, Arc::new(child_params), flat, depth + 1)?;
 
-    // Port binds.
-    let pairs: Vec<(String, Option<Expr>)> = if conns.iter().all(|c| c.port.is_some()) {
-        conns
-            .iter()
-            .map(|c| (c.port.clone().expect("checked"), c.expr.clone()))
-            .collect()
-    } else {
-        child
-            .ports
-            .iter()
-            .zip(conns)
-            .map(|(p, c)| (p.name.clone(), c.expr.clone()))
-            .collect()
-    };
-    for (port_name, expr) in pairs {
-        let Some(port) = child.port(&port_name) else { continue };
-        let Some(expr) = expr else { continue };
-        let child_sig = format!("{child_prefix}{port_name}");
-        match port.direction {
-            Direction::Input => design.comb.push(Proc {
-                scope: scope.clone(),
-                kind: ProcKind::BindIn { child: child_sig, expr },
-            }),
-            Direction::Output | Direction::Inout => design.comb.push(Proc {
-                scope: scope.clone(),
-                kind: ProcKind::BindOut { lhs: expr, child: child_sig },
-            }),
-        }
+    // Port binds: by name when every connection names its port, else by
+    // position.
+    let by_name = conns.iter().all(|c| c.port.is_some());
+    for (index, conn) in conns.iter().enumerate() {
+        let port_name = if by_name {
+            conn.port.as_deref()
+        } else {
+            child.ports.get(index).map(|port| port.name.as_str())
+        };
+        // Positional connections past the child's last port bind nothing.
+        let Some(port_name) = port_name else { break };
+        let Some(port) = child.port(port_name) else { continue };
+        let Some(expr) = &conn.expr else { continue };
+        let child = format!("{child_prefix}{port_name}");
+        let kind = match port.direction {
+            Direction::Input => ProcKind::BindIn { child, expr },
+            Direction::Output | Direction::Inout => ProcKind::BindOut { lhs: expr, child },
+        };
+        flat.comb.push(Proc { scope: Arc::clone(scope), kind });
     }
     Ok(())
 }
@@ -647,6 +650,11 @@ mod tests {
         elaborate(&analysis, top).expect("elaborates")
     }
 
+    /// The flattened signal `name`'s definition, read back from the kernel.
+    fn signal<'d>(d: &'d Design, name: &str) -> Option<&'d SigDef> {
+        d.kernel.by_name.get(name).map(|&id| &d.kernel.sigs[id as usize].def)
+    }
+
     #[test]
     fn simple_module_shapes() {
         let d = design(
@@ -657,8 +665,8 @@ mod tests {
         assert_eq!(d.inputs.len(), 1);
         assert_eq!(d.inputs[0].width, 8);
         assert_eq!(d.outputs[0].width, 8);
-        assert_eq!(d.comb.len(), 2);
-        assert_eq!(d.signals.get("t").map(|s| s.width), Some(4));
+        assert_eq!(d.kernel.comb.len(), 2);
+        assert_eq!(signal(&d, "t").map(|s| s.width), Some(4));
     }
 
     #[test]
@@ -680,8 +688,8 @@ mod tests {
              always @(posedge clk) q <= d;\nendmodule",
             "m",
         );
-        assert_eq!(d.seq.len(), 1);
-        assert_eq!(d.seq[0].edges, vec![(Edge::Pos, "clk".to_owned())]);
+        assert_eq!(d.kernel.seq.len(), 1);
+        assert_eq!(d.kernel.seq[0].edges, vec![(Edge::Pos, "clk".to_owned())]);
     }
 
     #[test]
@@ -691,10 +699,10 @@ mod tests {
              module top(input x, output z);\nchild u1(.a(x), .y(z));\nendmodule",
             "top",
         );
-        assert!(d.signals.contains_key("u1.t"), "{:?}", d.signals.keys());
-        assert!(d.signals.contains_key("u1.a"));
+        assert!(signal(&d, "u1.t").is_some(), "{:?}", d.kernel.by_name.keys());
+        assert!(signal(&d, "u1.a").is_some());
         // 2 child assigns + 2 binds
-        assert_eq!(d.comb.len(), 4);
+        assert_eq!(d.kernel.comb.len(), 4);
     }
 
     #[test]
@@ -706,12 +714,28 @@ mod tests {
              child #(.W(8)) u(.a(p), .y(q));\nendmodule",
             "top",
         );
-        assert_eq!(d.signals.get("u.a").map(|s| s.width), Some(8));
+        assert_eq!(signal(&d, "u.a").map(|s| s.width), Some(8));
     }
 
     #[test]
     fn genfor_unrolls_with_scoped_prefix() {
-        let d = design(
+        let source = "module m(input [3:0] a, output [3:0] y);\n\
+             genvar i;\ngenerate\n\
+             for (i = 0; i < 4; i = i + 1) begin : g\n\
+               wire t;\n\
+               assign t = ~a[i];\n\
+               assign y[i] = t;\n\
+             end\nendgenerate\nendmodule";
+        let d = design(source, "m");
+        assert!(signal(&d, "g[0].t").is_some());
+        assert!(signal(&d, "g[3].t").is_some());
+        assert_eq!(d.kernel.comb.len(), 8);
+        assert_eq!(flatten(&compile(source), "m"), Ok(8));
+    }
+
+    #[test]
+    fn generate_iterations_share_one_scope_and_borrow_their_bodies() {
+        let analysis = compile(
             "module m(input [3:0] a, output [3:0] y);\n\
              genvar i;\ngenerate\n\
              for (i = 0; i < 4; i = i + 1) begin : g\n\
@@ -719,11 +743,18 @@ mod tests {
                assign t = ~a[i];\n\
                assign y[i] = t;\n\
              end\nendgenerate\nendmodule",
-            "m",
         );
-        assert!(d.signals.contains_key("g[0].t"));
-        assert!(d.signals.contains_key("g[3].t"));
-        assert_eq!(d.comb.len(), 8);
+        let (flat, _, _) = flatten_top(&analysis, "m").expect("elaborates");
+        assert_eq!(flat.comb.len(), 8);
+        for (pair, iteration) in flat.comb.chunks(2).zip(0..) {
+            assert!(Arc::ptr_eq(&pair[0].scope, &pair[1].scope), "iteration {iteration}");
+            assert_eq!(pair[0].scope.scope_prefix, format!("g[{iteration}]."));
+            assert_eq!(pair[0].scope.params.get("i"), Some(&iteration));
+        }
+        // Every iteration's `assign t = ~a[i]` is the one in the source.
+        let ProcKind::Assign { rhs: first, .. } = &flat.comb[0].kind else { panic!("assign") };
+        let ProcKind::Assign { rhs: last, .. } = &flat.comb[6].kind else { panic!("assign") };
+        assert!(std::ptr::eq(*first, *last));
     }
 
     #[test]
@@ -760,8 +791,8 @@ mod tests {
         // The shared design matches a direct elaboration.
         let direct = elaborate(&first, "shared_elab_probe").expect("elaborates");
         assert_eq!(a.top, direct.top);
-        assert_eq!(a.comb.len(), direct.comb.len());
-        assert_eq!(a.signals.len(), direct.signals.len());
+        assert_eq!(a.kernel.comb.len(), direct.kernel.comb.len());
+        assert_eq!(a.kernel.sigs.len(), direct.kernel.sigs.len());
         // A different top over the same source is a distinct cache entry.
         assert!(matches!(
             elaborate_shared(&first, "zz"),
@@ -780,15 +811,15 @@ mod tests {
 
     #[test]
     fn function_registered() {
-        let d = design(
+        let analysis = compile(
             "module m(input [7:0] a, output [3:0] y);\n\
              function [3:0] ones;\ninput [7:0] v;\ninteger i;\nbegin\n\
                ones = 0;\nfor (i = 0; i < 8; i = i + 1) ones = ones + v[i];\n\
              end\nendfunction\nassign y = ones(a);\nendmodule",
-            "m",
         );
-        let f = d.functions.get("ones").expect("function");
+        let (flat, _, _) = flatten_top(&analysis, "m").expect("elaborates");
+        let f = flat.functions.get("ones").expect("function");
         assert_eq!(f.width, 4);
-        assert_eq!(f.args, vec![("v".to_owned(), 8)]);
+        assert_eq!(f.args, vec![("v", 8)]);
     }
 }

@@ -1,7 +1,11 @@
 //! The simulation interpreter: executes the interned execution form
-//! (the `lower` module's `Kernel`) compiled from an elaborated [`Design`], with
+//! (the `lower` module's `Kernel`) an elaborated [`Design`] carries, with
 //! two-phase (non-blocking) sequential semantics and settle-to-fixpoint
 //! combinational evaluation.
+//!
+//! A [`Simulator`] is a shared `Arc<Design>` plus its own signal state:
+//! elaboration has already lowered and tape-compiled the design, so a
+//! simulator over a cached design only allocates that state.
 //!
 //! Compared with the tree-walking interpreter it replaced, the hot loop is
 //! allocation-free and event-driven:
@@ -296,7 +300,6 @@ pub(crate) fn wide_enabled() -> bool {
 #[derive(Debug, Clone)]
 pub struct Simulator {
     design: Arc<Design>,
-    kernel: Arc<Kernel>,
     /// Signal state slab, indexed by `SigId`.
     state: Vec<StateValue>,
     /// Signals dirtied before the current sweep (previous sweep's toggles
@@ -345,8 +348,8 @@ impl Simulator {
     ///
     /// Elaboration goes through the process-wide
     /// [`crate::elab::elaborate_shared`] cache, so repeated simulations of
-    /// the same source share one immutable [`Design`] (and its lowered
-    /// kernel) and only the mutable signal state is per-simulator.
+    /// the same source share one immutable [`Design`], lowered kernel
+    /// included, and only the mutable signal state is per-simulator.
     ///
     /// # Errors
     ///
@@ -360,17 +363,13 @@ impl Simulator {
     }
 
     /// Builds a simulator over an already-elaborated (shared) design, with
-    /// all signals initialised to zero. The design is lowered to its kernel
-    /// form on first use and the kernel is cached on the design, so further
-    /// simulators over the same `Arc<Design>` skip straight to state setup.
+    /// all signals initialised to zero. The design is already lowered, so
+    /// this only sets up signal state.
     pub fn from_design(design: Arc<Design>) -> Simulator {
-        let kernel =
-            Arc::clone(design.lowered.0.get_or_init(|| Arc::new(crate::lower::lower(&design))));
-        let state = Self::zero_state(&kernel);
-        let n = kernel.sigs.len();
+        let state = Self::zero_state(&design.kernel);
+        let n = design.kernel.sigs.len();
         Simulator {
             design,
-            kernel,
             state,
             prev_dirty: BitSet::all(n),
             curr_dirty: BitSet::new(n),
@@ -386,10 +385,10 @@ impl Simulator {
         }
     }
 
-    /// Tape-compilation statistics for this design's kernel (lower-once,
-    /// shared across simulators of the same design).
+    /// Tape-compilation statistics for this design's kernel (compiled once
+    /// at elaboration, shared across simulators of the same design).
     pub fn tape_stats(&self) -> TapeStats {
-        self.kernel.tape_stats
+        self.design.kernel.tape_stats
     }
 
     /// Two-state fast-path runtime counters accumulated by this simulator:
@@ -404,8 +403,8 @@ impl Simulator {
     /// fresh simulator starts from. Re-run [`Simulator::run_initial`]
     /// afterwards to re-apply `initial` blocks.
     pub fn reset_state(&mut self) {
-        self.state = Self::zero_state(&self.kernel);
-        let n = self.kernel.sigs.len();
+        self.state = Self::zero_state(&self.design.kernel);
+        let n = self.design.kernel.sigs.len();
         self.prev_dirty = BitSet::all(n);
         self.curr_dirty.clear_all();
         self.touched_mask.clear_all();
@@ -438,11 +437,12 @@ impl Simulator {
     /// Returns [`SimError::NoSuchPort`] for unknown names.
     pub fn poke(&mut self, name: &str, value: LogicVec) -> Result<(), SimError> {
         let &id = self
+            .design
             .kernel
             .by_name
             .get(name)
             .ok_or_else(|| SimError::NoSuchPort(name.to_owned()))?;
-        let width = self.kernel.sigs[id as usize].def.width;
+        let width = self.design.kernel.sigs[id as usize].def.width;
         let mut log = Some(WriteLog { dirty: &mut self.prev_dirty, sweep: None });
         set_state(&mut self.state, &mut log, id, StateValue::Vec(value.resize(width)));
         Ok(())
@@ -450,7 +450,7 @@ impl Simulator {
 
     /// Reads a signal's current value (vectors only).
     pub fn peek(&self, name: &str) -> Option<LogicVec> {
-        let &id = self.kernel.by_name.get(name)?;
+        let &id = self.design.kernel.by_name.get(name)?;
         match &self.state[id as usize] {
             StateValue::Vec(v) => Some(v.clone()),
             StateValue::Array(_) => None,
@@ -459,7 +459,7 @@ impl Simulator {
 
     /// Reads one word of a memory.
     pub fn peek_word(&self, name: &str, index: usize) -> Option<LogicVec> {
-        let &id = self.kernel.by_name.get(name)?;
+        let &id = self.design.kernel.by_name.get(name)?;
         match &self.state[id as usize] {
             StateValue::Array(words) => words.get(index).cloned(),
             StateValue::Vec(_) => None,
@@ -472,7 +472,7 @@ impl Simulator {
     ///
     /// Returns [`SimError::Unstable`] if combinational logic oscillates.
     pub fn run_initial(&mut self) -> Result<(), SimError> {
-        let kernel = Arc::clone(&self.kernel);
+        let kernel = Arc::clone(&self.design.kernel);
         for proc in &kernel.init {
             self.run_proc(&kernel, proc, false);
         }
@@ -486,7 +486,7 @@ impl Simulator {
     /// Returns [`SimError::Unstable`] if no fixpoint is reached within the
     /// iteration cap (combinational loop), naming the still-toggling nets.
     pub fn settle(&mut self) -> Result<(), SimError> {
-        let kernel = Arc::clone(&self.kernel);
+        let kernel = Arc::clone(&self.design.kernel);
         let event = event_driven();
         let mut last_changed: Vec<SigId> = Vec::new();
         for sweep in 0..MAX_SETTLE {
@@ -543,7 +543,7 @@ impl Simulator {
     ///
     /// Propagates [`SimError`] from settling.
     pub fn edge(&mut self, signal: &str, edge: Edge) -> Result<(), SimError> {
-        let kernel = Arc::clone(&self.kernel);
+        let kernel = Arc::clone(&self.design.kernel);
         let new_val = match edge {
             Edge::Pos => 1,
             Edge::Neg => 0,

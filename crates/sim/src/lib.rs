@@ -9,7 +9,11 @@
 //!
 //! 1. [`elab::elaborate`] flattens an analyzed design into signals plus
 //!    combinational / sequential / initial processes (instances flattened
-//!    with hierarchical prefixes, generate loops unrolled).
+//!    with hierarchical prefixes, generate loops unrolled), each borrowing
+//!    its body from the analysis, then lowers them into an interned kernel
+//!    with compiled tapes. The resulting [`elab::Design`] keeps only its
+//!    top, its ports and that kernel; [`elab::elaborate_shared`] caches it
+//!    per source and top.
 //! 2. [`Simulator`] executes the design: settle-to-fixpoint combinational
 //!    evaluation, two-phase non-blocking sequential semantics, 4-state
 //!    values ([`value::LogicVec`]). Each process runs as a compiled

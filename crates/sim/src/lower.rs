@@ -1,9 +1,11 @@
-//! Lowering: compiles an elaborated [`Design`] into the interned,
-//! ID-indexed execution form ([`Kernel`]) that the interpreter executes.
+//! Lowering: compiles a flattened design (elaboration's temporary process
+//! list) into the interned, ID-indexed execution form ([`Kernel`]) that the
+//! interpreter executes.
 //!
-//! The lowering pass runs once per design (memoised in
-//! `Design::lowered`) and performs every piece of work the old
-//! tree-walking interpreter repeated on each evaluation:
+//! The lowering pass runs once per design, inside
+//! [`crate::elab::elaborate`] (so behind the `elaborate_shared` design
+//! cache), and performs every piece of work the old tree-walking
+//! interpreter repeated on each evaluation:
 //!
 //! * **Name interning** — every signal reference is resolved through the
 //!   scope chain to a dense `SigId` (`u32` index into a state slab), and
@@ -37,7 +39,7 @@ use rtlfixer_verilog::ast::{
 use rtlfixer_verilog::const_eval;
 use rtlfixer_verilog::token::Base;
 
-use crate::elab::{Design, FunctionDef, Proc, ProcKind, Scope, SeqProc, SigDef};
+use crate::elab::{Flat, FunctionDef, Proc, ProcKind, Scope, SeqProc, SigDef};
 use crate::tape::{self, Tape, TapeStats};
 use crate::value::{Bit, LogicVec};
 
@@ -53,7 +55,8 @@ pub(crate) struct KSig {
     pub(crate) def: SigDef,
 }
 
-/// The lowered execution form of a [`Design`].
+/// The lowered execution form of a design: all a [`crate::elab::Design`]
+/// keeps besides its top and ports.
 #[derive(Debug)]
 pub(crate) struct Kernel {
     /// Signals ordered by flattened name (so IDs are deterministic).
@@ -269,7 +272,8 @@ struct ProtoProc {
 }
 
 struct Lowering<'d> {
-    design: &'d Design,
+    /// The flattened design's functions, lowered on first call.
+    functions: &'d HashMap<String, FunctionDef<'d>>,
     sigs: Vec<KSig>,
     by_name: HashMap<String, SigId>,
     funcs: Vec<KFunc>,
@@ -283,21 +287,22 @@ struct Lowering<'d> {
     candidate: String,
 }
 
-/// Lowers a design. Infallible: unresolvable constructs lower to the same
-/// do-nothing / x-valued behaviour the old interpreter produced at runtime.
-pub(crate) fn lower(design: &Design) -> Kernel {
-    let mut names: Vec<&str> = design.signals.keys().map(String::as_str).collect();
-    names.sort_unstable();
-    let mut sigs = Vec::with_capacity(names.len());
-    let mut by_name = HashMap::with_capacity(names.len());
-    for name in names {
-        let id = sigs.len() as SigId;
-        sigs.push(KSig { name: name.to_owned(), def: design.signals[name].clone() });
-        by_name.insert(name.to_owned(), id);
+/// Lowers a flattened design, consuming it. Infallible: unresolvable
+/// constructs lower to the same do-nothing / x-valued behaviour the old
+/// interpreter produced at runtime.
+pub(crate) fn lower(flat: Flat<'_>) -> Kernel {
+    let Flat { signals, comb, seq, init, functions } = flat;
+    let mut signals: Vec<(String, SigDef)> = signals.into_iter().collect();
+    signals.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+    let mut sigs = Vec::with_capacity(signals.len());
+    let mut by_name = HashMap::with_capacity(signals.len());
+    for (name, def) in signals {
+        by_name.insert(name.clone(), sigs.len() as SigId);
+        sigs.push(KSig { name, def });
     }
 
     let mut lw = Lowering {
-        design,
+        functions: &functions,
         sigs,
         by_name,
         funcs: Vec::new(),
@@ -307,9 +312,9 @@ pub(crate) fn lower(design: &Design) -> Kernel {
         candidate: String::new(),
     };
 
-    let comb: Vec<ProtoProc> = design.comb.iter().map(|p| lw.lower_proc(p)).collect();
-    let init: Vec<ProtoProc> = design.init.iter().map(|p| lw.lower_proc(p)).collect();
-    let seq: Vec<KSeqProc> = design.seq.iter().map(|p| lw.lower_seq(p)).collect();
+    let comb: Vec<ProtoProc> = comb.iter().map(|p| lw.lower_proc(p)).collect();
+    let init: Vec<ProtoProc> = init.iter().map(|p| lw.lower_proc(p)).collect();
+    let seq: Vec<KSeqProc> = seq.into_iter().map(|p| lw.lower_seq(p)).collect();
 
     // Close function reference sets over the call graph (A calls B calls C:
     // C's signals reach A after two iterations).
@@ -420,11 +425,16 @@ impl<'d> Lowering<'d> {
         }
     }
 
-    fn lower_proc(&mut self, proc: &Proc) -> ProtoProc {
+    fn lower_proc(&mut self, proc: &Proc<'_>) -> ProtoProc {
         let mut cx = BodyCx::new(&proc.scope);
         let body = match &proc.kind {
             ProcKind::Assign { lhs, rhs } => {
                 let klhs = self.lower_lval(&mut cx, lhs);
+                let krhs = self.lower_expr(&mut cx, rhs);
+                KProcBody::Assign { lhs: klhs, rhs: krhs }
+            }
+            ProcKind::Init { name, rhs } => {
+                let klhs = self.lower_whole_lval(&mut cx, name);
                 let krhs = self.lower_expr(&mut cx, rhs);
                 KProcBody::Assign { lhs: klhs, rhs: krhs }
             }
@@ -447,10 +457,10 @@ impl<'d> Lowering<'d> {
         ProtoProc { body, nlocals: cx.next_local, refs: cx.refs, calls: cx.calls }
     }
 
-    fn lower_seq(&mut self, proc: &SeqProc) -> KSeqProc {
+    fn lower_seq(&mut self, proc: SeqProc<'_>) -> KSeqProc {
         let mut cx = BodyCx::new(&proc.scope);
-        let body = self.lower_stmt(&mut cx, &proc.body);
-        KSeqProc { edges: proc.edges.clone(), nlocals: cx.next_local, body, tape: None }
+        let body = self.lower_stmt(&mut cx, proc.body);
+        KSeqProc { edges: proc.edges, nlocals: cx.next_local, body, tape: None }
     }
 
     /// Lowers a function for a given bound-argument count, interning it.
@@ -459,7 +469,7 @@ impl<'d> Lowering<'d> {
     fn intern_func(
         &mut self,
         key: &str,
-        func: &'d FunctionDef,
+        func: &'d FunctionDef<'d>,
         nbound: usize,
         call_name: &str,
     ) -> u32 {
@@ -481,10 +491,10 @@ impl<'d> Lowering<'d> {
         let mut cx = BodyCx::new(&func.scope);
         let mut frame = Frame::default();
         let mut args = Vec::with_capacity(nbound);
-        for (arg_name, width) in func.args.iter().take(nbound) {
+        for &(arg_name, width) in func.args.iter().take(nbound) {
             let slot = cx.alloc();
-            frame.entries.push((arg_name.clone(), slot, *width));
-            args.push((slot, *width));
+            frame.entries.push((arg_name.to_owned(), slot, width));
+            args.push((slot, width));
         }
         // The return variable is keyed by the (unprefixed) call name and
         // inserted after the arguments, shadowing a same-named argument —
@@ -492,7 +502,7 @@ impl<'d> Lowering<'d> {
         let ret_slot = cx.alloc();
         frame.entries.push((call_name.to_owned(), ret_slot, func.width));
         cx.frames.push(frame);
-        let body = self.lower_stmt(&mut cx, &func.body);
+        let body = self.lower_stmt(&mut cx, func.body);
         cx.frames.pop();
 
         self.funcs[fid as usize] = KFunc {
@@ -648,9 +658,9 @@ impl<'d> Lowering<'d> {
                 }
             }
             Expr::Call { name, args, .. } => {
-                let design = self.design;
+                let functions = self.functions;
                 let key = format!("{}{name}", cx.scope.module_prefix);
-                let Some(func) = design.functions.get(&key) else {
+                let Some(func) = functions.get(&key) else {
                     // Missing function: 1 x-bit, natural width 1.
                     return KExpr { nat: 1, kind: KExprKind::Const(LogicVec::xs(1)) };
                 };
@@ -800,19 +810,7 @@ impl<'d> Lowering<'d> {
                 }
                 KLval::Concat(kparts.into_boxed_slice())
             }
-            Expr::Ident { name, .. } => {
-                if let Some((slot, width)) = cx.lookup_local(name) {
-                    return KLval::Whole { target: KVarRef::Local(slot), width };
-                }
-                if let Some(id) = self.resolve_sig(cx.scope, name) {
-                    cx.refs.insert(id); // write target
-                    return KLval::Whole {
-                        target: KVarRef::Sig(id),
-                        width: self.sigs[id as usize].def.width,
-                    };
-                }
-                KLval::Whole { target: KVarRef::None, width: 1 }
-            }
+            Expr::Ident { name, .. } => self.lower_whole_lval(cx, name),
             Expr::Index { base, index, .. } => {
                 let width = self.index_nat(cx, base);
                 let target = self.lval_target(cx, lhs, base, &mut None);
@@ -832,6 +830,21 @@ impl<'d> Lowering<'d> {
             // Exotic l-values resolve no target and have width 1.
             _ => KLval::Whole { target: KVarRef::None, width: 1 },
         }
+    }
+
+    /// A whole-variable l-value: a local, else a signal, else nothing.
+    fn lower_whole_lval(&mut self, cx: &mut BodyCx<'_>, name: &str) -> KLval {
+        if let Some((slot, width)) = cx.lookup_local(name) {
+            return KLval::Whole { target: KVarRef::Local(slot), width };
+        }
+        if let Some(id) = self.resolve_sig(cx.scope, name) {
+            cx.refs.insert(id); // write target
+            return KLval::Whole {
+                target: KVarRef::Sig(id),
+                width: self.sigs[id as usize].def.width,
+            };
+        }
+        KLval::Whole { target: KVarRef::None, width: 1 }
     }
 
     /// Resolves the write target for an index/select l-value, mirroring
@@ -874,10 +887,7 @@ impl<'d> Lowering<'d> {
 mod tests {
     use std::sync::Arc;
 
-    use rtlfixer_verilog::compile;
-
     use super::*;
-    use crate::elab::elaborate;
 
     /// The scope walk as first written, one `format!` per candidate: the
     /// oracle of [`Lowering::resolve_sig`].
@@ -915,11 +925,10 @@ mod tests {
 
     #[test]
     fn nested_generate_scopes_resolve_innermost_first_and_stop_at_the_instance() {
-        let analysis = compile("module m(input a, output y); assign y = a; endmodule");
-        let design = elaborate(&analysis, "m").expect("elaborates");
         let names = ["x", "w", "t", "outer[0].x", "outer[0].inner[1].x", "u.x", "u.c[0].t"];
+        let functions = HashMap::new();
         let mut lw = Lowering {
-            design: &design,
+            functions: &functions,
             sigs: Vec::new(),
             by_name: names
                 .iter()

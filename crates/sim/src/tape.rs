@@ -32,8 +32,9 @@
 //! back per-statement via [`Op::Tree`], or per-process by returning `None`
 //! from [`compile_body`] (the interpreter then uses the PR 4 tree path).
 //!
-//! Tapes are built once per design inside [`crate::lower::lower`] (hence
-//! behind the same `OnceLock`-on-`Design` cache as the kernel). The
+//! Tapes are built once per design inside [`crate::lower::lower`], which
+//! [`crate::elab::elaborate`] runs before it returns (hence behind the
+//! same `elaborate_shared` design cache as the kernel). The
 //! `RTLFIXER_SIM_TAPE` kill switch in [`crate::interp`] governs execution
 //! only, mirroring `RTLFIXER_SIM_EVENT`.
 

@@ -12,6 +12,7 @@
 //! [`run_until_mismatch`] stops at the first mismatching cycle (a verdict
 //! needs no more).
 
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 
 use rtlfixer_verilog::Analysis;
@@ -236,24 +237,31 @@ pub fn run_testbench(
 /// It drives a prefix of the cycles the full run drives, in the same
 /// order: it returns a mismatch exactly when [`run_testbench`] would report
 /// one or fail with a [`SimError`] after one, and `None` only where the
-/// full run passes, so a pass still needs every cycle.
+/// full run passes, so a pass still needs every cycle. Frames are pulled
+/// from `stimuli` one cycle at a time, after the DUT is set up, and none
+/// past the first mismatching cycle, so a lazy iterator builds only the
+/// frames the verdict reads.
 ///
 /// # Errors
 ///
 /// Returns [`TestbenchError`] if the DUT fails to elaborate, or fails to
 /// simulate before its first mismatch.
-pub fn run_until_mismatch(
+pub fn run_until_mismatch<I>(
     analysis: &Analysis,
     top: &str,
     model: &mut dyn ReferenceModel,
-    stimuli: &[BTreeMap<String, LogicVec>],
+    stimuli: I,
     clocking: &Clocking,
-) -> Result<Option<Mismatch>, TestbenchError> {
+) -> Result<Option<Mismatch>, TestbenchError>
+where
+    I: IntoIterator,
+    I::Item: Borrow<BTreeMap<String, LogicVec>>,
+{
     let _simulate_span = rtlfixer_obs::span(rtlfixer_obs::kind::SIMULATE);
     let mut bench = Bench::new(analysis, top, model, clocking)?;
     let mut first = None;
-    for (cycle, inputs) in stimuli.iter().enumerate() {
-        if bench.step(cycle, inputs, &mut first)? > 0 {
+    for (cycle, inputs) in stimuli.into_iter().enumerate() {
+        if bench.step(cycle, inputs.borrow(), &mut first)? > 0 {
             break;
         }
     }
@@ -365,10 +373,13 @@ mod tests {
             steps.set(steps.get() + 1);
             BTreeMap::from([("y".to_owned(), ins["a"].or(&ins["b"]))])
         };
+        let pulled = std::cell::Cell::new(0);
+        let frames = stimuli.iter().cloned().inspect(|_| pulled.set(pulled.get() + 1));
         let first =
-            run_until_mismatch(&analysis, "orr", &mut model, &stimuli, &Clocking::Combinational)
+            run_until_mismatch(&analysis, "orr", &mut model, frames, &Clocking::Combinational)
                 .unwrap();
         assert_eq!(steps.get(), 3, "cycles after the first mismatch must not run");
+        assert_eq!(pulled.get(), 3, "frames after the first mismatch must not be pulled");
         let full =
             run_testbench(&analysis, "orr", &mut model, &stimuli, &Clocking::Combinational)
                 .unwrap();
